@@ -35,13 +35,15 @@ import json
 import shutil
 import tempfile
 from pathlib import Path
+from typing import Dict
 
 import pytest
 
 from repro.core.interval import until_now
 from repro.engine.database import Database
 from repro.engine.modifications import current_update
-from repro.live import LiveSession
+from repro.relational.relation import OngoingRelation
+from repro.sqlish import compile_statement
 
 from bench_result_store import (
     _BENCH_ROWS,
@@ -106,24 +108,40 @@ def _build_recovery_root(root: Path, *, n_rows: int, suffix: int) -> None:
     db.close()
 
 
-def _cold_replay(n_rows: int, suffix: int) -> LiveSession:
-    """The no-recovery restart: full re-evaluation per suffix batch."""
+def _cold_replay(n_rows: int, suffix: int) -> Dict[str, OngoingRelation]:
+    """The no-recovery restart: full re-evaluation per suffix batch.
+
+    Every batch re-runs each subscribed statement and compares the
+    result with the previous one — the work a full refresh does.
+    Returns the final result per subscription name.
+    """
     db = _build_database(n_rows)
-    session = LiveSession(db, incremental=False)
-    _subscribe_all(session)
-    session.flush()
+    plans = {
+        name: compile_statement(statement, db)
+        for name, statement in _SUBSCRIPTIONS
+    }
+    results = {name: db.query(plan) for name, plan in plans.items()}
     table = db.table("L")
+    changed = 0
     for k in range(suffix):
         table.insert(n_rows + 10 + k, 1, until_now(5))
-        session.flush()
-    return session
+        for name, plan in plans.items():
+            result = db.query(plan)
+            changed += result != results[name]
+            results[name] = result
+    assert changed > 0
+    return results
 
 
-def _packed_results(session):
+def _packed_results(results: Dict[str, OngoingRelation]):
     return {
-        sub.name: sorted(map(repr, sub.result.tuples))
-        for sub in session.subscriptions
+        name: sorted(map(repr, result.tuples))
+        for name, result in results.items()
     }
+
+
+def _session_results(session) -> Dict[str, OngoingRelation]:
+    return {sub.name: sub.result for sub in session.subscriptions}
 
 
 # ----------------------------------------------------------------------
@@ -164,12 +182,9 @@ def test_recovery_beats_cold_replay_smoke(tmp_path):
         assert report.replayed_records == suffix
         assert report.resumed_subscriptions == len(_SUBSCRIPTIONS)
         cold = _cold_replay(n_rows, suffix)
-        try:
-            assert _packed_results(recovered._live_session) == (
-                _packed_results(cold)
-            )
-        finally:
-            cold.close()
+        assert _packed_results(
+            _session_results(recovered._live_session)
+        ) == _packed_results(cold)
     finally:
         recovered.close()
 
@@ -285,10 +300,9 @@ def _measure_recovery(report: dict) -> None:
         started = time.perf_counter()
         cold = _cold_replay(_RECOVERY_ROWS, _RECOVERY_SUFFIX)
         cold_s = time.perf_counter() - started
-        assert _packed_results(recovered._live_session) == (
-            _packed_results(cold)
-        )
-        cold.close()
+        assert _packed_results(
+            _session_results(recovered._live_session)
+        ) == _packed_results(cold)
         recovered.close()
     finally:
         shutil.rmtree(root.parent, ignore_errors=True)

@@ -614,14 +614,10 @@ class Database:
         :meth:`~repro.live.subscription.Subscription.explain_analyze` on a
         live subscription.
         """
-        from repro.engine.delta import DeltaEvaluator, NonIncrementalDelta
-        from repro.obs.explain import (
-            explain_analyze_data,
-            render_explain_analyze,
-        )
+        from repro.engine.delta import DeltaEvaluator
+        from repro.obs.explain import explain_renderer
 
-        if format not in ("text", "json"):
-            raise ValueError(f"format must be 'text' or 'json', got {format!r}")
+        renderer = explain_renderer(format)
         if isinstance(plan_or_sql, str):
             from repro.sqlish import compile_statement
 
@@ -636,20 +632,10 @@ class Database:
             plan = push_down_selections(plan, self)
         fingerprint = plan.fingerprint()
         evaluator = DeltaEvaluator(plan, self, optimize=optimize)
-        cold_reason = None
-        try:
-            with self.lock:
-                evaluator.refresh_full()
-        except NonIncrementalDelta as exc:
-            cold_reason = f"plan has no delta rules ({exc})"
-        renderer = (
-            explain_analyze_data if format == "json" else render_explain_analyze
-        )
+        with self.lock:
+            evaluator.refresh_full()
         return renderer(
-            evaluator.node_report(),
-            label=label,
-            fingerprint=fingerprint,
-            cold_reason=cold_reason,
+            evaluator.node_report(), label=label, fingerprint=fingerprint
         )
 
     def live_session(self, **session_kwargs):

@@ -34,8 +34,8 @@ Design
 * Joins keep their build state cached (hash indexes per side) and probe
   only the delta side:  ``Δ(L ⋈ R) = ΔL ⋈ R_old  ∪  L_new ⋈ ΔR``.
 
-* Anything non-incrementalizable — a full-flagged delta, a cold state, an
-  operator without a delta rule, an inconsistent count — raises
+* Anything non-incrementalizable — a full-flagged delta, a cold state, a
+  top-k window that lost its boundary, an inconsistent count — raises
   :class:`NonIncrementalDelta`; callers fall back to full re-evaluation
   **automatically** and the fallback is logged on the
   ``repro.engine.delta`` logger.
@@ -47,7 +47,6 @@ delta-maintained result equals a from-scratch evaluation of the plan.
 
 from __future__ import annotations
 
-import logging
 from time import perf_counter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -66,8 +65,6 @@ __all__ = [
     "apply_delta_to_rows",
     "DeltaEvaluator",
 ]
-
-logger = logging.getLogger("repro.engine.delta")
 
 
 class NonIncrementalDelta(Exception):
@@ -406,8 +403,8 @@ class DeltaEvaluator:
 
     The evaluator never falls back silently: :meth:`apply` raises
     :class:`NonIncrementalDelta` when incremental maintenance is not
-    possible, and callers (the live subscription manager, materialized
-    views) re-run :meth:`refresh_full` — the automatic, logged fallback.
+    possible, and the caller (:class:`~repro.engine.maintenance.IncrementalMaintainer`)
+    re-runs :meth:`refresh_full` — the automatic, logged fallback.
     A failed apply or rebuild drops the operator state but keeps the
     store, so consumers keep serving the last consistent result.
     """
@@ -430,7 +427,6 @@ class DeltaEvaluator:
         *,
         optimize: bool = True,
         rewrite: Optional[bool] = None,
-        snapshot_stats: Optional[Dict[str, int]] = None,
         tracer=None,
         cost_model=None,
         fingerprint: Optional[str] = None,
@@ -460,14 +456,10 @@ class DeltaEvaluator:
         self._root = None
         self._states: Dict[object, OperatorState] = {}
         self._store: Optional[ResultStore] = None
-        #: Shared snapshot counters ({"snapshots_taken": …,
-        #: "snapshots_reused": …}); callers may pass their own dict so
-        #: the numbers survive store rebuilds and evaluator replacement.
-        self.snapshot_stats = (
-            snapshot_stats
-            if snapshot_stats is not None
-            else {"snapshots_taken": 0, "snapshots_reused": 0}
-        )
+        #: Snapshot counters ({"snapshots_taken": …, "snapshots_reused":
+        #: …}), shared with every store this evaluator builds so the
+        #: numbers survive store rebuilds.
+        self.snapshot_stats = {"snapshots_taken": 0, "snapshots_reused": 0}
         #: Cumulative per-operator counters, keyed by stable tree path
         #: (see :class:`NodeStats`) — the data behind ``explain_analyze``.
         self.node_stats: Dict[str, NodeStats] = {}
@@ -551,33 +543,6 @@ class DeltaEvaluator:
         self._price_states(root)
         self.full_evaluations += 1
         return self._store.snapshot()
-
-    def refresh(
-        self, table_deltas: Mapping[str, Delta]
-    ) -> Tuple[OngoingRelation, Optional[Delta]]:
-        """Refresh incrementally when possible, fully otherwise.
-
-        The one-call form of the engine's contract, shared by the
-        materialized-view and live-subscription consumers: warm state
-        applies *table_deltas* and returns ``(result, result_delta)``;
-        anything non-incrementalizable falls back to
-        :meth:`refresh_full` — automatically, with the reason logged —
-        and returns ``(result, None)``.
-        """
-        if self.warm:
-            try:
-                delta = self.apply(table_deltas)
-                return self.result, delta
-            except NonIncrementalDelta as exc:
-                logger.info(
-                    "delta propagation fell back to full re-evaluation "
-                    "(operator=%s, table=%s, delta=%s): %s",
-                    exc.operator,
-                    exc.table,
-                    exc.delta_shape,
-                    exc,
-                )
-        return self.refresh_full(), None
 
     def _evaluate(self, node, states) -> Dict[OngoingTuple, int]:
         from repro.engine.executor import SeqScan
@@ -739,8 +704,8 @@ class DeltaEvaluator:
         *table_deltas* maps base-table names to their coalesced deltas
         since the last refresh.  Tables the plan does not read are
         ignored.  Raises :class:`NonIncrementalDelta` when the state is
-        cold, a delta is full-flagged, or an operator has no incremental
-        rule — the caller then falls back to :meth:`refresh_full`.  On
+        cold, a delta is full-flagged, or an operator cannot apply its
+        delta — the caller then falls back to :meth:`refresh_full`.  On
         any propagation error the operator state is invalidated, so a
         later apply cannot observe half-updated state; the store keeps
         serving the last consistent snapshot meanwhile.

@@ -33,7 +33,8 @@ the groups a delta touches, emitting a delete+insert pair for each
 changed group row; duplicate elimination (:class:`DistinctOp`) is the
 counting rule itself; ordered limits (:class:`SortLimitOp`) maintain a
 top-k window in O(Δ log k) and fall back only when the boundary is
-evicted.  An operator without an incremental rule raises
+evicted.  Every concrete operator implements both rules; a delta an
+operator cannot apply raises
 :class:`~repro.engine.delta.NonIncrementalDelta`, which callers answer
 with an automatic full re-evaluation.
 """
@@ -130,21 +131,17 @@ class PhysicalOperator:
         table's raw rows).  After this call ``state.counts`` maps every
         output tuple to its derivation count.
         """
-        raise NonIncrementalDelta(
-            f"{type(self).__name__} has no incremental evaluation rule"
-        )
+        raise NotImplementedError
 
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
     ) -> Delta:
         """Propagate the children's *deltas*; return this node's delta.
 
-        The default is conservative: an operator without a delta rule
-        forces the automatic full-re-evaluation fallback.
+        Raises :class:`~repro.engine.delta.NonIncrementalDelta` when this
+        delta cannot be applied (the caller re-evaluates in full).
         """
-        raise NonIncrementalDelta(
-            f"{type(self).__name__} has no incremental delta rule"
-        )
+        raise NotImplementedError
 
 
 def materialize(operator: PhysicalOperator) -> OngoingRelation:

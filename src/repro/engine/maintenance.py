@@ -1,39 +1,39 @@
 """One plan's incremental-refresh state machine, shared by every consumer.
 
-Both incremental consumers of the delta engine — the single-consumer
-:class:`~repro.engine.views.MaterializedOngoingView` and the shared
-:class:`~repro.live.cache.SharedResult` behind the live subscription
-manager — used to carry their own copy of the same three-part protocol:
+An ongoing result stays valid as time passes, so maintaining one only
+takes two operations: evaluate the plan once, then apply the
+modifications that arrive.  :class:`IncrementalMaintainer` is that
+protocol, written once for both consumers of the delta engine — the
+single-consumer :class:`~repro.engine.views.MaterializedOngoingView` and
+the live subscription manager, which keeps one maintainer per distinct
+plan fingerprint:
 
 1. **pending deltas** — per-table :class:`~repro.engine.delta.DeltaBuilder`
    accumulators fed by the database's typed modification hooks;
-2. **the unsupported latch** — a plan that raises
-   :class:`~repro.engine.delta.NonIncrementalDelta` from a *full* build has
-   no delta rules at all and must never be retried incrementally;
-3. **refresh with automatic fallback** — propagate the pending deltas
-   through the cached operator state, or fall back to a logged full
-   re-evaluation when the state is cold, the deltas are full-flagged, or
-   the propagation fails.
+2. **refresh with automatic fallback** — propagate the pending deltas
+   through the cached operator state (:meth:`DeltaEvaluator.apply`), or
+   fall back to a logged full re-evaluation
+   (:meth:`DeltaEvaluator.refresh_full`) when the state is cold, the
+   deltas are full-flagged, or the propagation fails.
 
-:class:`IncrementalMaintainer` is that protocol, written once.  It is also
-the **single synchronization point** of the concurrent serving layer
-(:mod:`repro.serve`): every mutation of maintenance state happens under
-:attr:`IncrementalMaintainer.lock`, and the full-refresh path additionally
-holds the database's write lock so a re-evaluation and the discard of the
-deltas it subsumes are atomic with respect to concurrent writers — no
-torn reads, no double-applied rows.
+The maintainer is also the **single synchronization point** of the
+concurrent serving layer (:mod:`repro.serve`): every mutation of
+maintenance state happens under :attr:`IncrementalMaintainer.lock`, and
+the full-refresh path additionally holds the database's write lock so a
+re-evaluation and the discard of the deltas it subsumes are atomic with
+respect to concurrent writers — no torn reads, no double-applied rows.
 
-Since the versioned result store
-(:class:`~repro.relational.relation.ResultStore`), the maintainer no
-longer *holds* a relation — :attr:`IncrementalMaintainer.result` is a
-**version-aware lazy view**: a delta refresh mutates the store in O(|Δ|)
-and the immutable snapshot consumers read is copied on demand, at most
-once per version.  The maintainer also enforces the memory half of the
-contract: with ``state_budget_bytes`` set, operator state whose estimated
-footprint exceeds the budget is **evicted** after the refresh (the store
-keeps serving) and transparently rebuilt on the next refresh that needs
-it — recompute-on-miss, counted in :attr:`state_evictions` /
-:attr:`state_rebuilds` and logged like the delta fallbacks.
+The maintainer does not *hold* a relation: :attr:`IncrementalMaintainer.result`
+is a **version-aware lazy view** over the evaluator's
+:class:`~repro.relational.relation.ResultStore` — a delta refresh mutates
+the store in O(|Δ|) and the immutable snapshot consumers read is copied
+on demand, at most once per version.  The maintainer also enforces the
+memory half of the contract: with ``state_budget_bytes`` set, operator
+state whose estimated footprint exceeds the budget is **evicted** after
+the refresh (the store keeps serving) and transparently rebuilt on the
+next refresh that needs it — recompute-on-miss, counted in
+:attr:`state_evictions` / :attr:`state_rebuilds` and logged like the
+delta fallbacks.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class RefreshOutcome:
 
     ``delta`` is the exact result-level change when the refresh
     propagated row deltas through cached operator state, and ``None``
-    when it was a full re-evaluation (incremental maintenance disabled,
-    cold or evicted state, full-flagged deltas, or a failed propagation —
-    all automatic, all logged).  ``changed`` says whether the result set
+    when it was a full re-evaluation (cold or evicted state, full-flagged
+    deltas, a cost-model choice, or a failed propagation — all
+    automatic, all logged).  ``changed`` says whether the result set
     differs from the one served before the refresh — on the delta path
     that is ``not delta.is_empty()``, on the full path an explicit
     old-vs-new comparison (O(|result|) on a path that is already
@@ -78,12 +78,14 @@ class RefreshOutcome:
 
 
 class IncrementalMaintainer:
-    """Incremental maintenance of one logical plan, with fallback and latch.
+    """Incremental maintenance of one logical plan, with automatic fallback.
 
     The maintainer owns the plan's :class:`DeltaEvaluator` (and through
     it the versioned result store), the pending per-table row deltas, and
-    the refresh counters.  All consumers drive it through three entry
-    points:
+    the refresh counters.  It carries the plan's identity (:attr:`plan`,
+    :attr:`fingerprint`) and serves :attr:`result`, :meth:`node_report`
+    and :meth:`explain_analyze` to every consumer directly.  All
+    consumers drive it through three entry points:
 
     * :meth:`note_change` — accumulate one table delta (called from the
       database's modification hooks, under the database write lock);
@@ -96,7 +98,7 @@ class IncrementalMaintainer:
     served result itself), estimated in storage-layout bytes
     (:meth:`DeltaEvaluator.state_bytes`).  ``None`` means unbounded.
 
-    Thread safety: :attr:`lock` guards the pending map and the latch.  A
+    Thread safety: :attr:`lock` guards the pending map and the counters.  A
     full re-evaluation runs under the owning database's write lock, which
     also serializes it against :meth:`note_change` (modification hooks
     fire with that lock held) — so deltas subsumed by the re-read tables
@@ -113,7 +115,6 @@ class IncrementalMaintainer:
         database,
         *,
         label: str,
-        incremental: bool = True,
         state_budget_bytes: Optional[int] = None,
         fingerprint: Optional[str] = None,
         registry=None,
@@ -137,13 +138,13 @@ class IncrementalMaintainer:
         #: through to the evaluator's per-operator spans.
         self.tracer = tracer
         self.state_budget_bytes = state_budget_bytes
-        #: Guards the pending map, the latch, and the counters.
+        #: Guards the pending map and the counters.
         self.lock = threading.RLock()
         #: Monotonic count of change events *offered* to this maintainer —
-        #: bumped even when the rows are not kept (unsupported plans,
-        #: cold state, ``incremental=False``).  The flush path compares
-        #: it before/after a full re-evaluation to decide whether a new
-        #: modification slipped in and the dirty mark must survive.
+        #: bumped even when the rows are not kept (cold or evicted
+        #: state).  Consumers compare it before/after a refresh to decide
+        #: whether a new modification slipped in meanwhile (the flush
+        #: keeps the dirty mark, a view stays stale).
         self.changes = 0
         #: Total refreshes (full evaluations and delta applications).
         self.evaluations = 0
@@ -168,20 +169,16 @@ class IncrementalMaintainer:
         #: Effective cost-model parameter changes learned from this
         #: plan's observed refresh history (the telemetry→planner loop).
         self.cost_adaptations = 0
-        self._incremental = incremental
-        self._evaluator: Optional[DeltaEvaluator] = None
-        self._unsupported = False
+        #: ``True`` while the budget has evicted the operator state — the
+        #: next cold refresh is then a rebuild, not a delta fallback.
         self._evicted = False
-        #: Snapshot counters, shared with every evaluator/store this
-        #: maintainer creates so the numbers survive rebuilds.
-        self._snapshot_stats: Dict[str, int] = {
-            "snapshots_taken": 0,
-            "snapshots_reused": 0,
-        }
-        #: The served relation on the plain path (``incremental=False``
-        #: or latched-unsupported plans); the incremental path serves
-        #: from the evaluator's store instead.
-        self._plain_result: Optional[OngoingRelation] = None
+        self._evaluator = DeltaEvaluator(
+            plan,
+            database,
+            tracer=tracer,
+            cost_model=cost_model,
+            fingerprint=self.fingerprint,
+        )
         self._relevant: FrozenSet[str] = plan.referenced_tables()
         self._pending: Dict[str, DeltaBuilder] = {}
 
@@ -199,46 +196,33 @@ class IncrementalMaintainer:
         forever — later refreshes mutate the store, never the snapshot.
         ``None`` before the first successful evaluation.
         """
-        evaluator = self._evaluator
-        if evaluator is not None:
-            served = evaluator.result
-            if served is not None:
-                return served
-        return self._plain_result
+        return self._evaluator.result
 
     @property
     def snapshots_taken(self) -> int:
         """Snapshot copies actually materialized (one per read version)."""
-        return self._snapshot_stats["snapshots_taken"]
+        return self._evaluator.snapshot_stats["snapshots_taken"]
 
     @property
     def snapshots_reused(self) -> int:
         """Reads served by an already-materialized snapshot (no copy)."""
-        return self._snapshot_stats["snapshots_reused"]
+        return self._evaluator.snapshot_stats["snapshots_reused"]
 
     @property
     def result_version(self) -> int:
         """The store's mutation counter (0 when no store exists yet)."""
-        evaluator = self._evaluator
-        store = None if evaluator is None else evaluator.store
+        store = self._evaluator.store
         return 0 if store is None else store.version
-
-    @property
-    def unsupported(self) -> bool:
-        """``True`` once the plan proved to have no delta rules at all."""
-        return self._unsupported
 
     @property
     def warm(self) -> bool:
         """``True`` when operator state exists and deltas can be applied."""
-        evaluator = self._evaluator
-        return evaluator is not None and evaluator.warm
+        return self._evaluator.warm
 
     def state_bytes(self) -> int:
         """Estimated evictable operator-state memory, in storage-layout
         bytes (0 when the state is cold or evicted)."""
-        evaluator = self._evaluator
-        return 0 if evaluator is None else evaluator.state_bytes()
+        return self._evaluator.state_bytes()
 
     def relevant(self, table: str) -> bool:
         """Does the plan read *table*?"""
@@ -246,9 +230,8 @@ class IncrementalMaintainer:
 
     def node_report(self):
         """Per-operator live counters (see ``DeltaEvaluator.node_report``);
-        empty while the state is cold, evicted, or unsupported."""
-        evaluator = self._evaluator
-        return [] if evaluator is None else evaluator.node_report()
+        empty while the state is cold or evicted."""
+        return self._evaluator.node_report()
 
     def explain_analyze(self, *, format: str = "text"):
         """The physical plan annotated with live maintenance counters.
@@ -257,18 +240,13 @@ class IncrementalMaintainer:
         estimated state bytes, cumulative ``apply_delta`` wall time and
         delta sizes, and per-node fallback counts — plus a header with
         the plan-level refresh totals and the cost model's learned
-        per-plan parameters.  A cold/evicted/unsupported plan renders the
-        header and the reason instead of a tree.  ``format="json"``
-        returns the same report as plain data.
+        per-plan parameters.  A cold or evicted plan renders the header
+        and the reason instead of a tree.  ``format="json"`` returns the
+        same report as plain data.
         """
-        from repro.engine.cost import DEFAULT_COST_MODEL
-        from repro.obs.explain import (
-            explain_analyze_data,
-            render_explain_analyze,
-        )
+        from repro.obs.explain import explain_renderer
 
-        if format not in ("text", "json"):
-            raise ValueError(f"format must be 'text' or 'json', got {format!r}")
+        renderer = explain_renderer(format)
         with self.lock:
             totals = {
                 "evaluations": self.evaluations,
@@ -282,22 +260,16 @@ class IncrementalMaintainer:
                 "state_bytes": self.state_bytes(),
                 "refresh_decision": self.last_refresh_decision,
             }
-            if self._unsupported:
-                cold_reason = "plan has no delta rules (latched unsupported)"
-            elif self._evicted:
-                cold_reason = "operator state evicted by the memory budget"
-            else:
-                cold_reason = (
-                    "no warm operator state (not yet evaluated, or "
-                    "incremental maintenance disabled)"
-                )
-        model = self.cost_model if self.cost_model is not None else DEFAULT_COST_MODEL
-        adaptation = model.adaptation_report(self.fingerprint)
+            cold_reason = (
+                "operator state evicted by the memory budget"
+                if self._evicted
+                else "not yet evaluated, or the last refresh failed"
+            )
+        adaptation = self._evaluator.cost_model.adaptation_report(
+            self.fingerprint
+        )
         if adaptation:
             totals["cost_adaptation"] = adaptation
-        renderer = (
-            explain_analyze_data if format == "json" else render_explain_analyze
-        )
         return renderer(
             self.node_report(),
             label=self.label,
@@ -326,17 +298,13 @@ class IncrementalMaintainer:
         """Accumulate one table delta for the next :meth:`refresh`.
 
         Rows are only worth holding when a later refresh can consume
-        them: not for tables the plan does not read, not once the plan
-        latched onto full evaluation, and not while the operator state is
-        cold (the next refresh is a full evaluation anyway).
+        them: not for tables the plan does not read, and not while the
+        operator state is cold (the next refresh is a full evaluation
+        anyway).
         """
         with self.lock:
             self.changes += 1
-            if (
-                self._unsupported
-                or table not in self._relevant
-                or not self.warm
-            ):
+            if table not in self._relevant or not self.warm:
                 return
             builder = self._pending.get(table)
             if builder is None:
@@ -360,29 +328,6 @@ class IncrementalMaintainer:
     # ------------------------------------------------------------------
     # Refresh
     # ------------------------------------------------------------------
-
-    def _plain(
-        self, previous: Optional[OngoingRelation]
-    ) -> RefreshOutcome:
-        result = self.database.query(self.plan)
-        with self.lock:
-            self._plain_result = result
-            self.evaluations += 1
-            self.full_refreshes += 1
-        changed = previous is None or result != previous
-        return RefreshOutcome(None, changed)
-
-    def _ensure_evaluator(self) -> Optional[DeltaEvaluator]:
-        if self._evaluator is None and not self._unsupported:
-            self._evaluator = DeltaEvaluator(
-                self.plan,
-                self.database,
-                snapshot_stats=self._snapshot_stats,
-                tracer=self.tracer,
-                cost_model=self.cost_model,
-                fingerprint=self.fingerprint,
-            )
-        return self._evaluator
 
     def _observe_costs(
         self,
@@ -439,24 +384,6 @@ class IncrementalMaintainer:
         except Exception:  # noqa: BLE001 — telemetry must never refresh-fail
             logger.exception("fallback metric recording failed")
 
-    def _latch_unsupported(self, exc: NonIncrementalDelta) -> None:
-        """The plan has no delta rules — never retry, serve plainly."""
-        logger.info(
-            "%s (plan %s) is not incrementalizable "
-            "(operator=%s, table=%s): %s; serving via full evaluation",
-            self.label,
-            self.fingerprint[:12],
-            getattr(exc, "operator", None),
-            getattr(exc, "table", None),
-            exc,
-        )
-        self._record_fallback(exc, cause="unsupported plan")
-        with self.lock:
-            self._evaluator = None
-            self._evicted = False  # the flag describes the dropped state
-            self._unsupported = True
-            self._pending = {}  # row deltas will never be consumed
-
     def _maybe_evict(self, evaluator: DeltaEvaluator) -> None:
         """Enforce the state budget after a successful refresh.
 
@@ -482,56 +409,27 @@ class IncrementalMaintainer:
             budget,
         )
 
-    def evaluate(
-        self, *, incremental: Optional[bool] = None
-    ) -> RefreshOutcome:
-        """Full (re-)evaluation; builds delta state unless ``incremental``
-        is ``False``.
+    def evaluate(self) -> RefreshOutcome:
+        """Full (re-)evaluation, (re)building the operator state.
 
         Runs under the database write lock: the tables are read at one
         consistent instant, and pending deltas — all subsumed by that
         read — are discarded in the same critical section, so a
         concurrent writer's rows are either inside the fresh result (its
         modification hook ran before we took the lock) or inside the
-        pending map for the next refresh, never both.
+        pending map for the next refresh, never both.  A failed
+        evaluation raises; the store keeps serving the last result.
         """
-        if incremental is None:
-            incremental = self._incremental
+        evaluator = self._evaluator
         with self.database.lock:
             # The previously served result, for the changed-comparison of
             # the full path; materializing it here is O(|result|) on a
-            # path that is already O(|result|).  Parking it in
-            # _plain_result keeps readers served through the windows
-            # below where the evaluator (and its store) is dropped before
-            # the plain re-query finishes — a result, once served, never
-            # transiently disappears.
-            previous = self.result
-            if previous is not None:
-                with self.lock:
-                    self._plain_result = previous
+            # path that is already O(|result|).
+            previous = evaluator.result
             self.discard_pending()
-            if not incremental:
-                # The delta state (if any) is now behind this evaluation —
-                # drop it, or a later incremental refresh (the consumer's
-                # flag may be mutable) would apply deltas to a stale
-                # snapshot.  A pending eviction mark dies with the state:
-                # the next cold start is this toggle's doing, not the
-                # budget's.
-                with self.lock:
-                    self._evaluator = None
-                    self._evicted = False
-                return self._plain(previous)
-            evaluator = self._ensure_evaluator()
-            if evaluator is None:
-                return self._plain(previous)
-            try:
-                result = evaluator.refresh_full()
-            except NonIncrementalDelta as exc:
-                self._latch_unsupported(exc)
-                return self._plain(previous)
+            result = evaluator.refresh_full()
             with self.lock:
                 self._evicted = False
-                self._plain_result = None  # the store serves from here on
                 self.evaluations += 1
                 self.full_refreshes += 1
             self._observe_costs(
@@ -541,33 +439,20 @@ class IncrementalMaintainer:
             changed = previous is None or result != previous
             return RefreshOutcome(None, changed)
 
-    def refresh(
-        self, *, incremental: Optional[bool] = None
-    ) -> RefreshOutcome:
+    def refresh(self) -> RefreshOutcome:
         """One maintenance step; returns the :class:`RefreshOutcome`.
 
         ``outcome.delta`` is the exact result-level change when the
         refresh propagated the pending deltas through cached operator
         state, and ``None`` when the refresh was a full re-evaluation —
-        because incremental maintenance is disabled, the state was cold
-        or evicted, the deltas were full-flagged, or the propagation
+        because the state was cold or evicted, the deltas were
+        full-flagged, the cost model chose it, or the propagation
         failed.  The fallback is automatic and logged; callers only need
         the outcome to know which path ran and whether to notify.  The
         delta path costs O(|Δ|) end to end — no snapshot is materialized
         here.
         """
-        if incremental is None:
-            incremental = self._incremental
-        if not incremental:
-            return self.evaluate(incremental=False)
-        if self._unsupported:
-            # Unsupported plans re-run plainly, but still under the write
-            # lock (via evaluate): a multi-table plan must not read table
-            # A before and table B after a concurrent writer.
-            return self.evaluate()
-        evaluator = self._ensure_evaluator()
-        if evaluator is None:
-            return self.evaluate()
+        evaluator = self._evaluator
         if not evaluator.warm:
             with self.lock:
                 if self._evicted:

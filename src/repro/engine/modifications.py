@@ -95,34 +95,38 @@ def current_delete(
     """
     position = _interval_position(table, vt_attribute)
     deletion_point = fixed(at)
-    replacement: List[OngoingTuple] = []
-    terminated: List[OngoingTuple] = []
-    successors: List[OngoingTuple] = []
-    # Iterate the raw row multiset, not the deduplicated relation view:
-    # the emitted delta must account for every stored occurrence, or the
-    # delta engine's occurrence counts drift from the table contents.
-    for item in table.rows():
-        if not matches(item):
-            replacement.append(item)
-            continue
-        valid_time = item.values[position]
-        new_end = ongoing_min(valid_time.end, deletion_point)
-        if new_end == valid_time.end:
-            replacement.append(item)
-            continue
-        new_values = list(item.values)
-        new_values[position] = OngoingInterval(valid_time.start, new_end)
-        successor = OngoingTuple(tuple(new_values), item.rt)
-        replacement.append(successor)
-        terminated.append(item)
-        successors.append(successor)
-    if terminated:
-        # The change event names exactly the rewritten rows, so derived
-        # results (live subscriptions, materialized views) can refresh by
-        # delta instead of re-evaluating over the whole table.
-        table.replace_all(
-            replacement, delta=Delta.update(terminated, successors)
-        )
+    # One write-lock acquisition spans the scan and the replace: a write
+    # from another thread landing in between would otherwise vanish
+    # from the table while its delta had already reached live results.
+    with table.batch():
+        replacement: List[OngoingTuple] = []
+        terminated: List[OngoingTuple] = []
+        successors: List[OngoingTuple] = []
+        # Iterate the raw row multiset, not the deduplicated relation view:
+        # the emitted delta must account for every stored occurrence, or the
+        # delta engine's occurrence counts drift from the table contents.
+        for item in table.rows():
+            if not matches(item):
+                replacement.append(item)
+                continue
+            valid_time = item.values[position]
+            new_end = ongoing_min(valid_time.end, deletion_point)
+            if new_end == valid_time.end:
+                replacement.append(item)
+                continue
+            new_values = list(item.values)
+            new_values[position] = OngoingInterval(valid_time.start, new_end)
+            successor = OngoingTuple(tuple(new_values), item.rt)
+            replacement.append(successor)
+            terminated.append(item)
+            successors.append(successor)
+        if terminated:
+            # The change event names exactly the rewritten rows, so derived
+            # results (live subscriptions, materialized views) can refresh by
+            # delta instead of re-evaluating over the whole table.
+            table.replace_all(
+                replacement, delta=Delta.update(terminated, successors)
+            )
     return len(terminated)
 
 

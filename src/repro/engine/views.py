@@ -10,18 +10,18 @@ whereas Clifford's approach must re-run the query at every reference time.
 The view only needs refreshing after *explicit* database modifications —
 never because time passed.  Staleness is event-driven: the view registers
 with the database's typed modification hooks
-(:meth:`~repro.engine.database.Database.add_delta_listener`) and records
-the row deltas that arrive, so :meth:`is_stale` is O(1) and catches
-*every* modification path — including in-place current deletes that the
-old cardinality-polling proxy could not see.
+(:meth:`~repro.engine.database.Database.add_delta_listener`) and hands
+the row deltas that arrive to its maintainer, whose change counter makes
+:meth:`is_stale` O(1) and catches *every* modification path — including
+in-place current deletes and writes that land during a refresh.
 
-Refreshes ride the delta-propagation engine through the shared
+Refreshes ride the delta-propagation engine through an
 :class:`~repro.engine.maintenance.IncrementalMaintainer` (the same state
-machine behind the live engine's shared results): :meth:`refresh` pushes
-the accumulated row deltas through the view's cached operator state,
+machine the live engine keeps per plan): :meth:`refresh` pushes the
+accumulated row deltas through the view's cached operator state,
 costing work proportional to the modifications since the last refresh.
 When that is impossible — cold state, a bulk load that reported no typed
-rows, a non-incrementalizable operator — the view falls back to a full
+rows, a failed propagation — the view falls back to a full
 re-evaluation automatically (logged on the ``repro.engine.delta`` logger).
 
 For many clients sharing plans, prefer the push-based subscription engine
@@ -69,7 +69,9 @@ class MaterializedOngoingView:
             database,
             label=f"view {name!r}",
         )
-        self._dirty = True
+        #: The maintainer's change counter as of the last refresh start;
+        #: any change event after it makes the view stale.
+        self._refreshed_at: Optional[int] = None
         # The registered listener holds only a weak reference to the view:
         # views kept the old polling design's "no cleanup needed" contract,
         # so an abandoned view must not be pinned alive by the database.
@@ -82,7 +84,7 @@ class MaterializedOngoingView:
             if view is None:
                 database.remove_delta_listener(_on_change)
             else:
-                view._note_change(table, delta)
+                view._maintainer.note_change(table, delta)
 
         self._listener = database.add_delta_listener(_on_change)
 
@@ -100,11 +102,6 @@ class MaterializedOngoingView:
         """How often the view refreshed by full re-evaluation."""
         return self._maintainer.full_refreshes
 
-    def _note_change(self, table: str, delta: Delta) -> None:
-        """Record one change event: flip the dirty flag, keep the rows."""
-        self._dirty = True
-        self._maintainer.note_change(table, delta)
-
     def refresh(self) -> OngoingRelation:
         """Bring the stored ongoing result up to date.
 
@@ -112,15 +109,17 @@ class MaterializedOngoingView:
         the view's cached operator state, mutating the versioned result
         store in O(|Δ|).  Falls back to a full re-evaluation —
         automatically, with the reason logged — when the state is cold or
-        the deltas cannot be propagated; a plan with no delta rules at
-        all latches onto plain evaluation permanently.  Returning the
+        the deltas cannot be propagated.  Returning the
         relation materializes a snapshot (the view is the single-consumer
         primitive); callers that only need the refresh done can ignore
         the return value at no extra cost beyond that one copy per
         changed version.
         """
+        # Read the counter *before* refreshing: a write that lands during
+        # the refresh may miss the result, so it must keep the view stale.
+        epoch = self._maintainer.changes
         self._maintainer.refresh()
-        self._dirty = False
+        self._refreshed_at = epoch
         return self.result
 
     def is_stale(self) -> bool:
@@ -130,7 +129,10 @@ class MaterializedOngoingView:
         modifications (inserts, current deletes/updates) do, and each one
         arrives as a change event from the database's modification hooks.
         """
-        return self._maintainer.result is None or self._dirty
+        return (
+            self._maintainer.result is None
+            or self._maintainer.changes != self._refreshed_at
+        )
 
     def close(self) -> None:
         """Detach from the database's modification hooks (idempotent)."""

@@ -10,16 +10,15 @@ needs, and this package is that service:
   records and the :class:`EventBus` notifications travel on;
 * :mod:`repro.live.dependencies` — the :class:`DependencyIndex` mapping
   base tables to the plan fingerprints they invalidate;
-* :mod:`repro.live.cache` — the :class:`ResultCache` of
-  :class:`SharedResult` materializations, keyed by
-  :meth:`~repro.engine.plan.PlanNode.fingerprint`, so structurally equal
-  plans from different clients share one evaluation;
 * :mod:`repro.live.subscription` — the client-side :class:`Subscription`
   handle (cheap :meth:`~Subscription.instantiate` at any reference time,
   per-subscription statistics);
 * :mod:`repro.live.manager` — the :class:`SubscriptionManager` /
-  :class:`LiveSession` facade: typed-delta intake from the database
-  hooks, batched coalescing flushes that *propagate* row deltas through
+  :class:`LiveSession` facade: one
+  :class:`~repro.engine.maintenance.IncrementalMaintainer` per
+  :meth:`~repro.engine.plan.PlanNode.fingerprint` (structurally equal
+  plans from different clients share one evaluation), typed-delta
+  intake from the database hooks, batched coalescing flushes that *propagate* row deltas through
   cached operator state (:mod:`repro.engine.delta`) instead of
   re-evaluating, notification fan-out with empty-delta suppression.
 
@@ -43,7 +42,6 @@ Quickstart::
     session.flush()            # one coalesced delta propagation + notification
 """
 
-from repro.live.cache import ResultCache, SharedResult
 from repro.live.dependencies import DependencyIndex, referenced_tables
 from repro.live.events import ChangeEvent, EventBus, RefreshNotification
 from repro.live.manager import FlushHandle, LiveSession, SubscriptionManager
@@ -56,8 +54,6 @@ __all__ = [
     "FlushHandle",
     "LiveSession",
     "RefreshNotification",
-    "ResultCache",
-    "SharedResult",
     "Subscription",
     "SubscriptionManager",
     "SubscriptionStats",

@@ -3,7 +3,9 @@
 :class:`SubscriptionManager` (aliased :class:`LiveSession`) is the facade
 of the live engine.  It owns
 
-* the :class:`~repro.live.cache.ResultCache` of shared materializations,
+* one :class:`~repro.engine.maintenance.IncrementalMaintainer` per
+  distinct plan fingerprint (structurally equal plans share one
+  materialization) and the subscriptions attached to each,
 * the :class:`~repro.live.dependencies.DependencyIndex` mapping base
   tables to the fingerprints they invalidate,
 * the :class:`~repro.live.events.EventBus` notifications travel on, and
@@ -21,8 +23,8 @@ every event (lowest latency); ``flush_every=N`` flushes once ``N`` events
 accumulated (bounded staleness at 1/N the evaluation cost).
 
 Incremental refresh: change events carry typed row deltas
-(:class:`~repro.engine.delta.Delta`), accumulated per shared result in
-its :class:`~repro.engine.maintenance.IncrementalMaintainer`; a flush
+(:class:`~repro.engine.delta.Delta`), accumulated per plan in
+the plan's :class:`~repro.engine.maintenance.IncrementalMaintainer`; a flush
 *propagates* them through the plan's cached operator state instead of
 re-evaluating — work proportional to the modification, not the database.
 Plans that cannot be maintained incrementally fall back to full
@@ -42,14 +44,14 @@ arguments:
   workers (:class:`~repro.serve.scheduler.FlushScheduler`) and swaps the
   dependency index for a
   :class:`~repro.serve.sharding.ShardedDependencyIndex` — independent
-  shared results refresh in parallel, each result serially consistent;
+  plans refresh in parallel, each result serially consistent;
 * :meth:`serve` starts the background auto-flush loop (debounced,
   woken **only** by modification events — still no clock), and
   :meth:`flush_async` schedules one non-blocking flush;
 * :meth:`close` stops the loop, performs a final flush, drains every
   queue, and joins all workers.
 
-Thread-safety: session state (dirty sets, stats, cache, registrations)
+Thread-safety: session state (dirty sets, stats, maintainers, registrations)
 is guarded by one session lock; write intake runs under the database
 write lock (modification hooks fire while it is held), and the lock
 order is always ``database.lock → session lock → maintainer lock``.
@@ -69,14 +71,15 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Union
 from repro.core.timeline import TimePoint
 from repro.engine.database import CommitStamp, Database
 from repro.engine.delta import FULL_DELTA, Delta
+from repro.engine.maintenance import IncrementalMaintainer
 from repro.engine.plan import PlanNode
 from repro.engine.rewrite import push_down_selections
 from repro.errors import QueryError
+from repro.obs.explain import explain_renderer
 from repro.obs.registry import FRESHNESS_BUCKETS, Registry, Sample
 from repro.obs.slo import FreshnessSLO
 from repro.obs.trace import TraceRecorder
 
-from repro.live.cache import ResultCache, SharedResult
 from repro.live.dependencies import DependencyIndex, referenced_tables
 from repro.live.events import ChangeEvent, EventBus, RefreshNotification
 from repro.live.subscription import Subscription
@@ -138,7 +141,6 @@ class SubscriptionManager:
         *,
         auto_flush: bool = False,
         flush_every: Optional[int] = None,
-        incremental: bool = True,
         delivery_workers: int = 0,
         flush_shards: int = 0,
         queue_capacity: int = 64,
@@ -159,10 +161,6 @@ class SubscriptionManager:
         self.database = database
         self.auto_flush = auto_flush
         self.flush_every = flush_every
-        #: When ``True`` (default) flushes propagate row deltas through
-        #: cached operator state; ``False`` forces full re-evaluation on
-        #: every refresh (the PR-1 behavior, kept for benchmarking).
-        self.incremental = incremental
         #: Per-maintainer cap on evictable operator-state memory
         #: (storage-layout bytes).  Exceeding it evicts the plan's delta
         #: state after the refresh — the result keeps serving from the
@@ -221,7 +219,10 @@ class SubscriptionManager:
             )
         else:
             self.bus = EventBus()
-        self._cache = ResultCache()
+        #: fingerprint → the plan's maintainer (its one materialization),
+        #: and fingerprint → the subscriptions attached to it.
+        self._maintainers: Dict[str, IncrementalMaintainer] = {}
+        self._subscribers: Dict[str, List[Subscription]] = {}
         if flush_shards > 0:
             from repro.serve.scheduler import FlushScheduler
             from repro.serve.sharding import ShardedDependencyIndex
@@ -245,6 +246,9 @@ class SubscriptionManager:
         #: popped by the refresh).  The conservative base for both the
         #: freshness histogram and the staleness gauges.
         self._dirty_commits: Dict[str, CommitStamp] = {}
+        #: Fingerprints of the flush round in progress: no longer dirty,
+        #: not yet refreshed.
+        self._refreshing: FrozenSet[str] = frozenset()
         self._events_since_flush = 0
         self._stats = {
             "repro_live_events_total": 0,
@@ -255,9 +259,11 @@ class SubscriptionManager:
             "repro_live_suppressed_notifications_total": 0,
             "repro_live_notifications_total": 0,
             "repro_live_refresh_errors_total": 0,
+            "repro_live_cache_hits_total": 0,
+            "repro_live_cache_misses_total": 0,
             "repro_shard_worker_failures_total": 0,
         }
-        #: Store/budget counters of shared results whose last subscriber
+        #: Store/budget counters of plans whose last subscriber
         #: left — folded into stats() so the totals stay monotonic.
         self._retired_store_stats = {
             "snapshots_taken": 0,
@@ -341,36 +347,46 @@ class SubscriptionManager:
         # plan is the canonical sharing key — two subscribers whose plans
         # normalize to the same shape share one materialization.
         plan = push_down_selections(plan, self.database)
+        fingerprint = plan.fingerprint()
         # The database lock spans dependency registration and the first
         # evaluation: no modification can slip between them, so the
         # freshly built operator state is exactly as-of the registration.
         with self.database.lock:
             with self._lock:
-                shared, created = self._cache.get_or_create(
-                    plan,
-                    state_budget_bytes=self.state_budget_bytes,
-                    registry=self.metrics,
-                    tracer=self.tracer,
-                )
+                maintainer = self._maintainers.get(fingerprint)
+                created = maintainer is None
                 if created:
-                    self._dependencies.add(
-                        shared.fingerprint, referenced_tables(plan)
+                    self._stats["repro_live_cache_misses_total"] += 1
+                    maintainer = IncrementalMaintainer(
+                        plan,
+                        self.database,
+                        label=f"plan {fingerprint[:12]}",
+                        state_budget_bytes=self.state_budget_bytes,
+                        fingerprint=fingerprint,
+                        registry=self.metrics,
+                        tracer=self.tracer,
                     )
+                    self._maintainers[fingerprint] = maintainer
+                    self._subscribers[fingerprint] = []
+                    self._dependencies.add(
+                        fingerprint, referenced_tables(plan)
+                    )
+                else:
+                    self._stats["repro_live_cache_hits_total"] += 1
             if created:
                 try:
-                    shared.evaluate(self.database, incremental=self.incremental)
+                    maintainer.evaluate()
                 except Exception:
-                    # Roll the registration back: a dead entry must not be
-                    # cache-hit by a later subscribe of the same plan.
+                    # Roll the registration back: a dead plan must not be
+                    # shared with a later subscribe of the same plan.
                     with self._lock:
-                        self._cache.remove(shared.fingerprint)
-                        self._dependencies.remove(shared.fingerprint)
+                        self._drop_plan(fingerprint)
                     raise
                 with self._lock:
                     self._stats["repro_live_evaluations_total"] += 1
             subscription = Subscription(
                 self,
-                shared,
+                maintainer,
                 on_refresh=on_refresh,
                 reference_time=reference_time,
                 name=name,
@@ -398,12 +414,11 @@ class SubscriptionManager:
                         unsubscribe = self.bus.subscribe(topic, on_refresh)
                 except Exception:
                     with self._lock:
-                        if created and not shared.subscribers:
-                            self._cache.remove(shared.fingerprint)
-                            self._dependencies.remove(shared.fingerprint)
+                        if created and not self._subscribers[fingerprint]:
+                            self._drop_plan(fingerprint)
                     raise
             with self._lock:
-                shared.subscribers.append(subscription)
+                self._subscribers[fingerprint].append(subscription)
                 self._subscriptions[subscription.id] = subscription
                 if unsubscribe is not None:
                     self._unsubscribe_bus[subscription.id] = unsubscribe
@@ -545,8 +560,8 @@ class SubscriptionManager:
         self, subscription: Subscription, pending: Dict[str, object]
     ) -> RefreshNotification:
         """Deserialize one captured pending notification against the
-        freshly resumed subscription (its just-evaluated shared result
-        stands in for the pre-crash one)."""
+        freshly resumed subscription (its just-evaluated result stands in
+        for the pre-crash one)."""
         delta: Optional[Delta] = None
         if pending.get("delta_full"):
             delta = FULL_DELTA
@@ -578,7 +593,7 @@ class SubscriptionManager:
             )
         return RefreshNotification(
             subscription=subscription,
-            result=subscription._shared.result,
+            result=subscription.result,
             rows=fixed_rows,
             changed_tables=tuple(pending.get("changed_tables") or ()),
             delta=delta,
@@ -594,34 +609,38 @@ class SubscriptionManager:
             unsubscribe_bus = self._unsubscribe_bus.pop(subscription.id, None)
         if unsubscribe_bus is not None:
             unsubscribe_bus()
-        shared = subscription._shared
+        maintainer = subscription._maintainer
         subscription._detach()
-        if shared is None:
+        if maintainer is None:
             return
+        fingerprint = maintainer.fingerprint
         with self._lock:
-            try:
-                shared.subscribers.remove(subscription)
-            except ValueError:
-                pass
-            if not shared.subscribers:
-                # The last subscriber leaving must fully unregister the
-                # plan: cache entry, dependency links (so the table →
-                # fingerprint index drops tables no live plan reads
-                # anymore), and any accumulated dirty/delta state.  Its
-                # store/budget counters retire into the session totals so
-                # stats() never goes backward.
-                retired = self._retired_store_stats
-                retired["snapshots_taken"] += shared.snapshots_taken
-                retired["snapshots_reused"] += shared.snapshots_reused
-                retired["state_evictions"] += shared.state_evictions
-                retired["state_rebuilds"] += shared.state_rebuilds
-                retired["cost_full_refreshes"] += shared.cost_full_refreshes
-                retired["cost_adaptations"] += shared.cost_adaptations
-                self._cache.remove(shared.fingerprint)
-                self._dependencies.remove(shared.fingerprint)
-                self._dirty.pop(shared.fingerprint, None)
-                self._dirty_events.pop(shared.fingerprint, None)
-                self._dirty_commits.pop(shared.fingerprint, None)
+            subscribers = self._subscribers.get(fingerprint, [])
+            if subscription in subscribers:
+                subscribers.remove(subscription)
+            if (
+                not subscribers
+                and self._maintainers.get(fingerprint) is maintainer
+            ):
+                self._drop_plan(fingerprint)
+
+    def _drop_plan(self, fingerprint: str) -> None:
+        """Fully unregister one plan (caller holds the session lock).
+
+        Drops its maintainer, its dependency links (so the table →
+        fingerprint index drops tables no live plan reads anymore), and
+        any accumulated dirty state.  Its store/budget counters retire
+        into the session totals so stats() never goes backward.
+        """
+        maintainer = self._maintainers.pop(fingerprint)
+        self._subscribers.pop(fingerprint, None)
+        retired = self._retired_store_stats
+        for key in retired:
+            retired[key] += getattr(maintainer, key)
+        self._dependencies.remove(fingerprint)
+        self._dirty.pop(fingerprint, None)
+        self._dirty_events.pop(fingerprint, None)
+        self._dirty_commits.pop(fingerprint, None)
 
     def close(self) -> None:
         """Close every subscription, stop and join all serving workers.
@@ -710,10 +729,10 @@ class SubscriptionManager:
                     # for every coalesced write, so freshness must be
                     # measured against the first one still waiting.
                     self._dirty_commits.setdefault(fingerprint, commit)
-                shared = self._cache.get(fingerprint)
-                if shared is not None:
-                    shared.note_change(table, delta)
-                    for subscription in shared.subscribers:
+                maintainer = self._maintainers.get(fingerprint)
+                if maintainer is not None:
+                    maintainer.note_change(table, delta)
+                    for subscription in self._subscribers[fingerprint]:
                         subscription.stats.pending_events += 1
             serving = self._serving
             due = self.auto_flush or (
@@ -748,31 +767,29 @@ class SubscriptionManager:
 
     @property
     def pending(self) -> int:
-        """Number of shared results currently marked dirty."""
+        """Number of plans marked dirty or inside a running flush round —
+        ``0`` means every modification so far is in the served results."""
         with self._lock:
-            return len(self._dirty)
+            return len(self._dirty.keys() | self._refreshing)
 
     @property
     def _pending_deltas(self) -> Dict[str, Dict[str, Delta]]:
         """Accumulated-but-unapplied row deltas per dirty plan.
 
-        Introspection only — the deltas live in each shared result's
+        Introspection only — the deltas live in each plan's
         :class:`~repro.engine.maintenance.IncrementalMaintainer` (the
         serve layer's single synchronization point), not in the manager.
         """
         with self._lock:
             snapshot: Dict[str, Dict[str, Delta]] = {}
-            for fingerprint in self._cache.fingerprints():
-                shared = self._cache.get(fingerprint)
-                if shared is None:
-                    continue
-                pending = dict(shared.pending_snapshot())
+            for fingerprint, maintainer in self._maintainers.items():
+                pending = maintainer.pending_snapshot()
                 if pending:
                     snapshot[fingerprint] = pending
             return snapshot
 
     def flush(self) -> int:
-        """Refresh every dirty shared result exactly once and notify.
+        """Refresh every dirty plan exactly once and notify.
 
         Coalesces however many modifications accumulated since the last
         flush into a single refresh per affected plan.  Each refresh
@@ -822,6 +839,7 @@ class SubscriptionManager:
                     self._dirty = {}
                     self._dirty_events = {}
                     self._events_since_flush = 0
+                    self._refreshing = frozenset(dirty)
                 if dirty:
                     tracer = self.tracer
                     if tracer is not None and tracer.enabled:
@@ -836,6 +854,7 @@ class SubscriptionManager:
                     with self._lock:
                         self._stats["repro_live_flushes_total"] += 1
                 with self._lock:
+                    self._refreshing = frozenset()
                     # Decide and release atomically: a concurrent flush()
                     # either set the re-entrant flag before this check (we
                     # drain its events now) or will observe _flushing ==
@@ -851,6 +870,7 @@ class SubscriptionManager:
         except BaseException:
             with self._lock:
                 self._flushing = False
+                self._refreshing = frozenset()
             raise
 
     def flush_async(self) -> FlushHandle:
@@ -909,7 +929,7 @@ class SubscriptionManager:
     def _refresh_one(
         self, fingerprint: str, changed_tables: FrozenSet[str], coalesced: int
     ) -> bool:
-        """Refresh one shared result and notify its subscriptions.
+        """Refresh one plan and notify its subscriptions.
 
         The single refresh routine behind serial flushes and shard
         workers alike; returns ``True`` when a refresh was performed.
@@ -949,17 +969,15 @@ class SubscriptionManager:
         self, fingerprint: str, changed_tables: FrozenSet[str], coalesced: int
     ) -> bool:
         with self._lock:
-            shared = self._cache.get(fingerprint)
+            maintainer = self._maintainers.get(fingerprint)
             # Claim the oldest pending stamp: writes landing *during* the
             # refresh setdefault a fresh stamp for the next cycle.
             commit = self._dirty_commits.pop(fingerprint, None)
-        if shared is None:  # all subscribers left while dirty
+        if maintainer is None:  # all subscribers left while dirty
             return False
-        epoch = shared.change_count()
+        epoch = maintainer.changes
         try:
-            outcome = shared.refresh(
-                self.database, incremental=self.incremental
-            )
+            outcome = maintainer.refresh()
         except Exception as exc:  # noqa: BLE001 — isolate per plan
             with self._lock:
                 self._stats["repro_live_refresh_errors_total"] += 1
@@ -975,7 +993,7 @@ class SubscriptionManager:
                 # arrived meanwhile (the change counter moved) — dropping
                 # that one would lose an update, re-flushing an already
                 # subsumed one would only waste a suppressed refresh.
-                if shared.change_count() == epoch:
+                if maintainer.changes == epoch:
                     self._dirty.pop(fingerprint, None)
                     self._dirty_events.pop(fingerprint, None)
                 self._stats["repro_live_full_refreshes_total"] += 1
@@ -984,7 +1002,15 @@ class SubscriptionManager:
             with self._lock:
                 self._stats["repro_live_delta_refreshes_total"] += 1
                 self._stats["repro_live_evaluations_total"] += 1
-        for subscription in list(shared.subscribers):
+        with self._lock:
+            # A plan dropped (and maybe re-subscribed) meanwhile has no
+            # subscribers left for this outcome.
+            subscribers = (
+                list(self._subscribers[fingerprint])
+                if self._maintainers.get(fingerprint) is maintainer
+                else []
+            )
+        for subscription in subscribers:
             if not changed and not subscription.notify_on_no_change:
                 subscription._mark_unchanged(coalesced)
                 with self._lock:
@@ -1052,8 +1078,8 @@ class SubscriptionManager:
                 (
                     subscription.name,
                     subscription.id,
-                    subscription._shared.fingerprint
-                    if subscription._shared is not None
+                    subscription._maintainer.fingerprint
+                    if subscription._maintainer is not None
                     else None,
                 )
                 for subscription in self._subscriptions.values()
@@ -1101,7 +1127,7 @@ class SubscriptionManager:
         in the delivery mailboxes plus dirty plans awaiting refresh — and
         interpolates linearly between the band edges, saturating at the
         larger of ``queue_capacity`` and the session's fan-out
-        (subscriptions + shared plans), so one write rippling to many
+        (subscriptions + live plans), so one write rippling to many
         subscribers does not count as a backlog: an idle system reacts
         at *debounce_min* latency, a genuinely backlogged one waits up
         to *debounce_max* so more writes coalesce into each flush round
@@ -1137,7 +1163,7 @@ class SubscriptionManager:
 
     def _queue_depth(self) -> int:
         """Load signal for the adaptive debounce: undelivered
-        notifications plus dirty plans awaiting refresh."""
+        notifications plus plans awaiting or inside a refresh."""
         depth = self.pending
         if self._async_bus:
             depth += self.bus.backlog()
@@ -1154,7 +1180,7 @@ class SubscriptionManager:
         or every fanned-out flush round would sleep ``debounce_max``.
         """
         with self._lock:
-            fanout = len(self._subscriptions) + len(self._cache)
+            fanout = len(self._subscriptions) + len(self._maintainers)
         return max(self._debounce_capacity, fanout)
 
     def _debounce_for_depth(self, depth: int) -> float:
@@ -1248,13 +1274,12 @@ class SubscriptionManager:
         with self._lock:
             return list(self._subscriptions.values())
 
-    def shared_results(self) -> List[SharedResult]:
+    def shared_results(self) -> List[IncrementalMaintainer]:
+        """The maintainer of every live plan, in fingerprint order."""
         with self._lock:
             return [
-                entry
-                for fingerprint in sorted(self._cache.fingerprints())
-                for entry in (self._cache.get(fingerprint),)
-                if entry is not None
+                self._maintainers[fingerprint]
+                for fingerprint in sorted(self._maintainers)
             ]
 
     def explain_analyze(
@@ -1269,23 +1294,21 @@ class SubscriptionManager:
         ``format="json"`` returns a list of report dicts (see
         :func:`~repro.obs.explain.explain_analyze_data`).
         """
-        if format not in ("text", "json"):
-            raise QueryError(
-                f"unknown explain format {format!r}; use 'text' or 'json'"
-            )
+        explain_renderer(format)  # rejects an unknown format up front
         matches = [
-            shared
-            for shared in self.shared_results()
+            maintainer
+            for maintainer in self.shared_results()
             if fingerprint is None
-            or shared.fingerprint.startswith(fingerprint)
+            or maintainer.fingerprint.startswith(fingerprint)
         ]
         if fingerprint is not None and not matches:
             raise QueryError(
                 f"no shared result matches fingerprint prefix {fingerprint!r}"
             )
-        if format == "json":
-            return [shared.explain_analyze(format="json") for shared in matches]
-        return "\n\n".join(shared.explain_analyze() for shared in matches)
+        reports = [
+            maintainer.explain_analyze(format=format) for maintainer in matches
+        ]
+        return reports if format == "json" else "\n\n".join(reports)
 
     #: Canonical metric ``(name, kind, help)`` — the :meth:`stats` dict
     #: keys ARE these names (the flat pre-1.7 aliases are gone), so the
@@ -1391,9 +1414,9 @@ class SubscriptionManager:
                     "Refresh exceptions that escaped to a shard worker",
                 )
             )
-        for shared in self.shared_results():
-            fingerprint = shared.fingerprint[:12]
-            for node in shared.node_report():
+        for maintainer in self.shared_results():
+            fingerprint = maintainer.fingerprint[:12]
+            for node in maintainer.node_report():
                 labels = {
                     "fingerprint": fingerprint,
                     "operator": node["operator"],
@@ -1445,37 +1468,24 @@ class SubscriptionManager:
         (``repro_live_cost_full_refreshes_total``).
         """
         with self._lock:
-            retired = self._retired_store_stats
-            snapshots_taken = retired["snapshots_taken"]
-            snapshots_reused = retired["snapshots_reused"]
-            state_evictions = retired["state_evictions"]
-            state_rebuilds = retired["state_rebuilds"]
-            cost_full_refreshes = retired["cost_full_refreshes"]
-            cost_adaptations = retired["cost_adaptations"]
-            for fingerprint in self._cache.fingerprints():
-                entry = self._cache.get(fingerprint)
-                if entry is None:
-                    continue
-                snapshots_taken += entry.snapshots_taken
-                snapshots_reused += entry.snapshots_reused
-                state_evictions += entry.state_evictions
-                state_rebuilds += entry.state_rebuilds
-                cost_full_refreshes += entry.cost_full_refreshes
-                cost_adaptations += entry.cost_adaptations
+            totals = dict(self._retired_store_stats)
+            for maintainer in self._maintainers.values():
+                for key in totals:
+                    totals[key] += getattr(maintainer, key)
             data: Dict[str, object] = {
                 **self._stats,
                 "repro_live_subscriptions": len(self._subscriptions),
-                "repro_live_shared_results": len(self._cache),
-                "repro_live_cache_hits_total": self._cache.hits,
-                "repro_live_cache_misses_total": self._cache.misses,
+                "repro_live_shared_results": len(self._maintainers),
                 "repro_live_dirty_plans": len(self._dirty),
-                "repro_live_cost_full_refreshes_total": cost_full_refreshes,
-                "repro_live_cost_adaptations_total": cost_adaptations,
+                "repro_live_cost_full_refreshes_total": totals[
+                    "cost_full_refreshes"
+                ],
+                "repro_live_cost_adaptations_total": totals["cost_adaptations"],
                 "table_fanout": self._dependencies.table_fanout(),
-                "repro_store_snapshots_taken_total": snapshots_taken,
-                "repro_store_snapshots_reused_total": snapshots_reused,
-                "repro_store_state_evictions_total": state_evictions,
-                "repro_store_state_rebuilds_total": state_rebuilds,
+                "repro_store_snapshots_taken_total": totals["snapshots_taken"],
+                "repro_store_snapshots_reused_total": totals["snapshots_reused"],
+                "repro_store_state_evictions_total": totals["state_evictions"],
+                "repro_store_state_rebuilds_total": totals["state_rebuilds"],
             }
         data["delivery_workers"] = self.delivery_workers
         data["flush_shards"] = self.flush_shards

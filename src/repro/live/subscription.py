@@ -1,9 +1,10 @@
 """Client-side handles of the live engine: subscriptions and their stats.
 
 A :class:`Subscription` is one client's registration of an ongoing query.
-It does **not** own a materialization — it points at the
-:class:`~repro.live.cache.SharedResult` for its plan fingerprint, so any
-number of clients with structurally equal plans share one evaluation.
+It does **not** own a materialization — it points at the session's
+:class:`~repro.engine.maintenance.IncrementalMaintainer` for its plan
+fingerprint, so any number of clients with structurally equal plans
+share one evaluation.
 
 The handle exposes exactly the two cheap operations the paper promises
 stay valid as time passes: reading the ongoing result and instantiating
@@ -18,12 +19,12 @@ from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, Optional, TYPE_CHECKING
 
 from repro.core.timeline import TimePoint
+from repro.engine.maintenance import IncrementalMaintainer
 from repro.engine.plan import PlanNode
 from repro.errors import QueryError
 from repro.relational.relation import OngoingRelation
 from repro.relational.tuples import FixedTuple
 
-from repro.live.cache import SharedResult
 from repro.live.events import RefreshNotification
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
@@ -74,7 +75,7 @@ class Subscription:
     def __init__(
         self,
         manager: "SubscriptionManager",
-        shared: SharedResult,
+        maintainer: IncrementalMaintainer,
         *,
         on_refresh: Optional[Callable[[RefreshNotification], None]] = None,
         reference_time: Optional[TimePoint] = None,
@@ -105,7 +106,7 @@ class Subscription:
         self.backpressure = backpressure
         self.queue_capacity = queue_capacity
         self.stats = SubscriptionStats()
-        self._shared: Optional[SharedResult] = shared
+        self._maintainer: Optional[IncrementalMaintainer] = maintainer
 
     # ------------------------------------------------------------------
     # Introspection
@@ -114,16 +115,16 @@ class Subscription:
     @property
     def active(self) -> bool:
         """``False`` once :meth:`close` ran."""
-        return self._shared is not None
+        return self._maintainer is not None
 
     @property
     def plan(self) -> PlanNode:
-        return self._require_shared().plan
+        return self._require_maintainer().plan
 
     @property
     def fingerprint(self) -> str:
-        """The plan fingerprint — the shared-result cache key."""
-        return self._require_shared().fingerprint
+        """The plan fingerprint — the key plans are shared by."""
+        return self._require_maintainer().fingerprint
 
     @property
     def result(self) -> OngoingRelation:
@@ -132,41 +133,41 @@ class Subscription:
         One store read per access: the snapshot is copied lazily, at most
         once per version, and shared by every subscriber of the plan.
         """
-        result = self._require_shared().result
+        result = self._require_maintainer().result
         if result is None:
             raise QueryError(
                 f"subscription {self.name!r} has no materialized result yet"
             )
         return result
 
-    def _require_shared(self) -> SharedResult:
-        if self._shared is None:
+    def _require_maintainer(self) -> IncrementalMaintainer:
+        if self._maintainer is None:
             raise QueryError(f"subscription {self.name!r} is closed")
-        return self._shared
+        return self._maintainer
 
     def explain_analyze(self, *, format: str = "text"):
         """The plan tree annotated with live per-operator counters.
 
-        Renders the shared result's physical plan with, per node, the
+        Renders the shared plan's physical tree with, per node, the
         state row/byte footprint, cumulative ``apply_delta`` wall time,
         delta row traffic, and fallback count — plus the maintainer's
         refresh totals.  Reads counters only; never refreshes.
         ``format="json"`` returns the same report as plain data for
         external tooling.
         """
-        return self._require_shared().explain_analyze(format=format)
+        return self._require_maintainer().explain_analyze(format=format)
 
     def node_report(self):
         """Per-operator live counters as plain dicts (see
         :meth:`~repro.engine.maintenance.IncrementalMaintainer.node_report`)."""
-        return self._require_shared().node_report()
+        return self._require_maintainer().node_report()
 
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
 
     def instantiate(self, rt: TimePoint) -> FrozenSet[FixedTuple]:
-        """The fixed result at reference time *rt*, served from the cache.
+        """The fixed result at reference time *rt*, served from the store.
 
         This is the cheap operation: a scan of the stored ongoing result,
         keeping tuples whose reference time contains *rt* and binding
@@ -181,15 +182,15 @@ class Subscription:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Deregister from the manager; the last subscriber drops the cache
-        entry and its dependency-index links.  Idempotent."""
-        if self._shared is not None:
+        """Deregister from the manager; the last subscriber drops the
+        plan's maintainer and its dependency-index links.  Idempotent."""
+        if self._maintainer is not None:
             self.manager.unsubscribe(self)
 
     # Called by the manager --------------------------------------------
 
     def _detach(self) -> None:
-        self._shared = None
+        self._maintainer = None
 
     def _mark_unchanged(self, coalesced: int) -> None:
         """Record a flush that left this result unchanged (no delivery)."""

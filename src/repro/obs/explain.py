@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional
 __all__ = [
     "render_explain_analyze",
     "explain_analyze_data",
+    "explain_renderer",
     "format_bytes",
     "format_seconds",
 ]
@@ -143,6 +144,20 @@ def render_explain_analyze(
     for entry in report:
         lines.append(_node_line(entry))
     return "\n".join(lines)
+
+
+def explain_renderer(format: str):
+    """The renderer for *format*: ``"text"`` → :func:`render_explain_analyze`,
+    ``"json"`` → :func:`explain_analyze_data`.
+
+    The one check of the ``format`` argument behind every
+    ``explain_analyze`` entry point; anything else raises ``ValueError``.
+    """
+    if format == "text":
+        return render_explain_analyze
+    if format == "json":
+        return explain_analyze_data
+    raise ValueError(f"unknown explain format {format!r}; use 'text' or 'json'")
 
 
 def explain_analyze_data(

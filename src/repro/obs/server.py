@@ -286,16 +286,10 @@ class ObsServer:
     def _explain(
         self, prefix: Optional[str], format: str
     ) -> Tuple[int, str, str]:
-        if format not in ("text", "json"):
-            return (
-                400,
-                "application/json",
-                json.dumps(
-                    {"error": f"unknown format {format!r}; use text or json"}
-                ),
-            )
         try:
             report = self.session.explain_analyze(prefix, format=format)
+        except ValueError as exc:  # an unknown format
+            return 400, "application/json", json.dumps({"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 — no-match is a 404
             return 404, "application/json", json.dumps({"error": str(exc)})
         if format == "json":

@@ -133,15 +133,15 @@ class TestMaintainerLoop:
             for offset in range(4):
                 current_insert(db.table("T"), (100 + offset,), at=50 + offset)
                 session.flush()
-            shared = session.shared_results()[0]
-            model = shared._maintainer.cost_model or DEFAULT_COST_MODEL
+            maintainer = session.shared_results()[0]
+            model = maintainer.cost_model or DEFAULT_COST_MODEL
             report = model.adaptation_report(fingerprint)
             assert report is not None
             assert report["observations"] >= 1
             assert session.stats()[
                 "repro_live_cost_adaptations_total"
-            ] == shared.cost_adaptations
-            assert shared.cost_adaptations >= 1
+            ] == maintainer.cost_adaptations
+            assert maintainer.cost_adaptations >= 1
         finally:
             session.close()
 

@@ -289,17 +289,18 @@ class TestEvaluatorFallback:
         assert not evaluator.warm
         recreated = db.create_table("R", Schema.of("K", ("VT", "interval")))
         recreated.insert(99, until_now(1))
-        result, delta = evaluator.refresh({})
-        assert delta is None  # cold → full path
+        with pytest.raises(NonIncrementalDelta, match="cold"):
+            evaluator.apply({})  # no delta may reach pre-drop state
+        result = evaluator.refresh_full()
         assert [t.values[0] for t in result.tuples] == [99]
         assert len(result) != rows_before + 1  # no pre-drop leftovers
 
     def test_refresh_helper_routes_and_falls_back(self):
+        """The two paths a maintainer routes between: apply for typed
+        deltas on warm state, refresh_full when apply refuses."""
         db = _database()
         evaluator = DeltaEvaluator(scan("R"), db)
-        # cold: full path
-        result, delta = evaluator.refresh({})
-        assert delta is None and len(result) == 3
+        assert len(evaluator.refresh_full()) == 3
         # warm + typed delta: incremental path
         db.table("R").insert(9, until_now(2))
         captured = {}
@@ -307,13 +308,16 @@ class TestEvaluatorFallback:
             lambda name, version, d: captured.update({name: d})
         )
         db.table("R").insert(10, until_now(2))
-        result, delta = evaluator.refresh(captured)
-        assert delta is not None and len(delta.inserted) == 1
+        delta = evaluator.apply(captured)
+        assert len(delta.inserted) == 1
+        result = evaluator.result
         assert 10 in [t.values[0] for t in result.tuples]
-        # warm + full-flagged delta: logged fallback to full
-        result, delta = evaluator.refresh({"R": FULL_DELTA})
-        assert delta is None
-        assert 9 in [t.values[0] for t in result.tuples]  # catches up fully
+        assert 9 not in [t.values[0] for t in result.tuples]  # missed
+        # warm + full-flagged delta: apply refuses, refresh_full catches up
+        with pytest.raises(NonIncrementalDelta, match="full"):
+            evaluator.apply({"R": FULL_DELTA})
+        result = evaluator.refresh_full()
+        assert 9 in [t.values[0] for t in result.tuples]
 
     def test_refresh_full_after_modifications_matches_query(self):
         db = _database()
@@ -326,3 +330,29 @@ class TestEvaluatorFallback:
         assert frozenset(result.tuples) == frozenset(
             db.query(scan("R")).tuples
         )
+
+
+class TestOperatorProtocol:
+    def test_every_operator_has_both_rules(self):
+        """Every concrete physical operator overrides both evaluate and
+        apply_delta — so a full evaluation never meets an operator
+        without a rule, and a delta that cannot be applied is only ever
+        a fallback to a full evaluation, never a plan-wide dead end."""
+        import inspect
+
+        from repro.engine import executor
+        from repro.engine.executor import PhysicalOperator
+
+        operators = [
+            cls
+            for _, cls in inspect.getmembers(executor, inspect.isclass)
+            if issubclass(cls, PhysicalOperator)
+            and cls is not PhysicalOperator
+            and cls.__module__ == executor.__name__
+        ]
+        assert len(operators) >= 14
+        for cls in operators:
+            for rule in ("evaluate", "apply_delta"):
+                assert getattr(cls, rule) is not getattr(
+                    PhysicalOperator, rule
+                ), f"{cls.__name__} has no {rule} rule of its own"

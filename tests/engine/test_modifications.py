@@ -99,6 +99,47 @@ class TestCurrentDelete:
         assert by_bid[501].end == NOW
 
 
+class TestConcurrentWriters:
+    def test_insert_racing_a_current_delete_is_kept(self):
+        """A current insert from another thread while a current delete
+        scans the table must land in the table — and in live results —
+        exactly once, never in one and not the other."""
+        import threading
+
+        from repro.engine.plan import scan
+        from repro.live import LiveSession
+
+        db = Database("mods-race")
+        table = db.create_table("B", Schema.of("BID", "C", ("VT", "interval")))
+        for bid in range(500, 520):
+            current_insert(table, (bid, "X"), at=d(1, 25))
+        session = LiveSession(db)
+        sub = session.subscribe(scan("B"))
+        racer = threading.Thread(
+            target=current_insert,
+            args=(table, (900, "Y")),
+            kwargs={"at": d(3, 1)},
+        )
+
+        def matches(row):
+            if racer.ident is None:  # the first call starts the writer
+                racer.start()
+                # Give the insert every chance to land mid-scan; with the
+                # scan and replace atomic it waits for the delete instead.
+                racer.join(timeout=0.5)
+            return row.values[0] == 500
+
+        assert current_delete(table, matches, at=d(9, 10)) == 1
+        racer.join(timeout=10)
+        assert not racer.is_alive()
+        session.flush()
+        expected = frozenset(db.query(scan("B")).tuples)
+        assert 900 in {row.values[0] for row in expected}
+        assert frozenset(table.as_relation().tuples) == expected
+        assert frozenset(sub.result.tuples) == expected
+        session.close()
+
+
 class TestCurrentUpdate:
     def test_update_is_delete_plus_insert(self):
         table = _table()

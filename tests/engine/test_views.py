@@ -100,6 +100,29 @@ class TestStaleness:
         assert modified == 0
         assert not view.is_stale()
 
+    def test_write_during_refresh_keeps_the_view_stale(self):
+        """A write landing while refresh() runs may miss the result; the
+        view must stay stale until a refresh that started after it."""
+        db, view = _setup()
+        view.refresh()
+        maintainer = view._maintainer
+        real_refresh = maintainer.refresh
+
+        def racing_refresh():
+            outcome = real_refresh()
+            db.table("B").insert(502, until_now(d(8, 20)))
+            return outcome
+
+        maintainer.refresh = racing_refresh
+        db.table("B").insert(503, until_now(d(8, 21)))
+        view.refresh()
+        maintainer.refresh = real_refresh
+        assert 502 not in [row[0] for row in view.instantiate(d(8, 25))]
+        assert view.is_stale()
+        view.refresh()
+        assert not view.is_stale()
+        assert 502 in [row[0] for row in view.instantiate(d(8, 25))]
+
     def test_closed_view_stops_listening(self):
         db, view = _setup()
         view.refresh()

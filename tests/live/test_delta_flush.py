@@ -66,34 +66,6 @@ class TestIncrementalFlush:
         expected = db.query(_spam_plan())
         assert frozenset(sub.result.tuples) == frozenset(expected.tuples)
 
-    def test_incremental_false_forces_full_refreshes(self):
-        db = _database()
-        session = LiveSession(db, incremental=False)
-        sub = session.subscribe(_spam_plan())
-        db.table("B").insert(503, "Spam filter", until_now(d(5, 1)))
-        session.flush()
-        stats = session.stats()
-        assert stats["repro_live_delta_refreshes_total"] == 0
-        assert stats["repro_live_full_refreshes_total"] == 1
-        assert 503 in [row[0] for row in sub.instantiate(d(6, 1))]
-
-    def test_toggling_incremental_does_not_serve_stale_state(self):
-        """Flipping session.incremental off and back on must not leave
-        warm operator state behind a full-path refresh — later deltas
-        would apply to a stale snapshot and drop rows silently."""
-        db = _database()
-        session = LiveSession(db)
-        sub = session.subscribe(_spam_plan())
-        session.incremental = False
-        db.table("B").insert(503, "Spam filter", until_now(d(5, 1)))
-        session.flush()
-        session.incremental = True
-        db.table("B").insert(504, "Spam filter", until_now(d(5, 2)))
-        session.flush()
-        expected = db.query(_spam_plan())
-        assert frozenset(sub.result.tuples) == frozenset(expected.tuples)
-        assert {row[0] for row in sub.instantiate(d(6, 1))} >= {503, 504}
-
     def test_untyped_bulk_load_falls_back_to_full(self):
         db = _database()
         session = LiveSession(db)

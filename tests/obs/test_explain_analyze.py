@@ -132,6 +132,22 @@ class TestDatabaseExplainAnalyze:
         assert "Join" in text
 
 
+@pytest.mark.parametrize("entry_point", ["database", "session", "subscription"])
+def test_unknown_format_raises_value_error_everywhere(entry_point):
+    db = _database()
+    session = LiveSession(db)
+    sub = session.subscribe(scan("R"))
+    explain = {
+        "database": lambda fmt: db.explain_analyze(scan("R"), format=fmt),
+        "session": lambda fmt: session.explain_analyze(format=fmt),
+        "subscription": lambda fmt: sub.explain_analyze(format=fmt),
+    }[entry_point]
+    assert isinstance(explain("json"), (dict, list))
+    with pytest.raises(ValueError, match="unknown explain format 'xml'"):
+        explain("xml")
+    session.close()
+
+
 class TestFallbackTelemetry:
     def test_fallback_records_carry_fingerprint_operator_table(self):
         db = _database()

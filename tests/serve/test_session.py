@@ -115,24 +115,26 @@ class TestReviewRegressions:
     def test_write_racing_a_full_refresh_keeps_its_dirty_mark(self):
         """A write that lands after a full re-evaluation re-read the
         tables must keep the plan dirty even when the maintainer never
-        accumulates row deltas (incremental=False, unsupported plans)."""
+        accumulates row deltas (a one-byte budget evicts the operator
+        state after every refresh, so every refresh is a full one)."""
         db = _database()
-        session = LiveSession(db, incremental=False)
+        session = LiveSession(db, state_budget_bytes=1)
         sub = session.subscribe(_plans()["filter"])
-        (shared,) = session.shared_results()
-        real_refresh = shared.refresh
+        (maintainer,) = session.shared_results()
+        real_refresh = maintainer.refresh
 
-        def racing_refresh(database, **kwargs):
-            delta = real_refresh(database, **kwargs)
+        def racing_refresh():
+            outcome = real_refresh()
             # The race window: a writer slips in after the re-read but
             # before the manager decides the dirty mark's fate.
             current_insert(db.table("R"), (1,), at=90)
-            return delta
+            return outcome
 
-        shared.refresh = racing_refresh
+        maintainer.refresh = racing_refresh
         current_insert(db.table("R"), (1,), at=89)
         session.flush()
-        shared.refresh = real_refresh
+        maintainer.refresh = real_refresh
+        assert session.stats()["repro_live_delta_refreshes_total"] == 0
         assert session.pending == 1, "the racing write lost its dirty mark"
         session.flush()
         assert frozenset(sub.result.tuples) == frozenset(

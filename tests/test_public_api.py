@@ -43,6 +43,7 @@ _MODULES = [
     "repro.engine.modifications",
     "repro.engine.bitemporal",
     "repro.engine.rewrite",
+    "repro.engine.maintenance",
     "repro.baselines.fixed_algebra",
     "repro.baselines.clifford",
     "repro.baselines.torp",
@@ -59,7 +60,6 @@ _MODULES = [
     "repro.bench.harness",
     "repro.live.events",
     "repro.live.dependencies",
-    "repro.live.cache",
     "repro.live.subscription",
     "repro.live.manager",
 ]
