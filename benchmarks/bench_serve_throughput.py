@@ -129,8 +129,7 @@ class _Fanout:
         self._next_at += 1
         self.flush_started = time.perf_counter()
         self.session.flush()
-        if hasattr(self.session.bus, "drain"):
-            assert self.session.bus.drain(timeout=120)
+        assert self.session.bus.drain(timeout=120)
         return time.perf_counter() - self.flush_started
 
     def close(self) -> None:

@@ -127,12 +127,7 @@ from repro.obs import (
     Registry,
     TraceRecorder,
 )
-from repro.serve import (
-    AsyncEventBus,
-    DeliveryPool,
-    FlushScheduler,
-    ShardedDependencyIndex,
-)
+from repro.serve import DeliveryPool, FlushScheduler
 
 __version__ = "1.10.0"
 
@@ -198,10 +193,8 @@ __all__ = [
     "Subscription",
     "SubscriptionManager",
     # concurrent serving layer
-    "AsyncEventBus",
     "DeliveryPool",
     "FlushScheduler",
-    "ShardedDependencyIndex",
     # telemetry
     "Registry",
     "TraceRecorder",

@@ -129,16 +129,13 @@ def serialize_notification(notification) -> Dict[str, object]:
 def _capture_pending(session, subscription) -> Optional[Dict[str, object]]:
     """The subscription's queued-but-undelivered notification, coalesced.
 
-    Only the asynchronous bus queues anything (the synchronous bus
-    delivers inline, so there is never a pending notification to lose).
-    The capture is non-destructive: the items stay queued for delivery.
+    Only a pooled bus queues anything (an inline bus delivers before
+    ``publish`` returns, so its capture is always empty).  The capture
+    is non-destructive: the items stay queued for delivery.
     """
-    capture = getattr(session.bus, "capture_pending", None)
-    if capture is None:
-        return None
     payloads = [
         payload
-        for group in capture(f"refresh:{subscription.id}")
+        for group in session.bus.capture_pending(f"refresh:{subscription.id}")
         for payload in group
     ]
     if not payloads:

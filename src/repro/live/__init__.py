@@ -7,9 +7,12 @@ That is precisely the contract a continuous-query/subscription service
 needs, and this package is that service:
 
 * :mod:`repro.live.events` — :class:`ChangeEvent` / :class:`RefreshNotification`
-  records and the :class:`EventBus` notifications travel on;
+  records and the one :class:`EventBus` notifications travel on, which
+  delivers inline (``workers=0``) or through the worker threads of
+  :mod:`repro.serve` (``workers >= 1``) with the same delivery routine;
 * :mod:`repro.live.dependencies` — the :class:`DependencyIndex` mapping
-  base tables to the plan fingerprints they invalidate;
+  base tables to the plan fingerprints they invalidate (one per
+  session, serial or sharded);
 * :mod:`repro.live.subscription` — the client-side :class:`Subscription`
   handle (cheap :meth:`~Subscription.instantiate` at any reference time,
   per-subscription statistics);

@@ -9,13 +9,11 @@ Keys are opaque to the index; the live engine uses plan fingerprints
 (:meth:`~repro.engine.plan.PlanNode.fingerprint`), so all subscriptions
 sharing a materialization also share one index entry.
 
-The index itself is not synchronized: in a serial session every access
-happens on one thread (or under the database write lock, which
-serializes modification hooks), and a concurrent session swaps it for
-the lock-guarded, shard-partitioned
-:class:`repro.serve.sharding.ShardedDependencyIndex`, which reuses this
-class as its per-shard building block.  :meth:`affected` therefore
-returns an immutable snapshot, never a live view.
+The index itself is not synchronized: a session has exactly one, and
+every read and write of it happens under that session's lock, whether
+the flush is serial or sharded (the flush scheduler routes fingerprints
+to shards itself).  :meth:`affected` returns an immutable snapshot,
+never a live view.
 """
 
 from __future__ import annotations

@@ -9,16 +9,25 @@ that stream a shape:
   by the :class:`~repro.engine.database.Database` modification hooks;
 * :class:`RefreshNotification` — what subscribers receive after their
   shared result was re-evaluated;
-* :class:`EventBus` — a tiny topic-based publish/subscribe fan-out with
-  error isolation (a failing listener never starves its peers).
+* :class:`EventBus` — the one topic-based publish/subscribe fan-out,
+  with error isolation (a failing listener never starves its peers).
+  It delivers inline on the publishing thread (``workers=0``) or through
+  the worker threads and bounded per-listener mailboxes of
+  :mod:`repro.serve` (``workers >= 1``); both modes run the same
+  delivery routine.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
+from repro.durable import faults
 from repro.engine.delta import Delta
+from repro.serve.bus import DeliveryPool
+from repro.serve.queues import REJECTED, Mailbox
 
 __all__ = ["ChangeEvent", "RefreshNotification", "EventBus"]
 
@@ -115,8 +124,27 @@ class RefreshNotification:
         )
 
 
+#: One subscription on a bus: the listener and, on a pooled bus, its
+#: mailbox.
+_Entry = Tuple[Callable[[Any], None], Optional[Mailbox]]
+
+
 class EventBus:
-    """Topic-based synchronous fan-out with listener error isolation.
+    """Topic-based fan-out with listener error isolation, inline or pooled.
+
+    ``workers=0`` delivers on the publishing thread: ``publish`` calls
+    every listener before it returns.  ``workers >= 1`` hands delivery
+    to a :class:`~repro.serve.bus.DeliveryPool`: each listener gets its
+    own bounded :class:`~repro.serve.queues.Mailbox` (*capacity* and
+    backpressure *policy*, overridable per :meth:`subscribe`) pinned to
+    one worker thread, so delivery is in-order per listener and one slow
+    callback cannot stall the publisher.
+
+    Both modes run one delivery routine (:meth:`_deliver`): a
+    ``deliver`` span when *tracer* records, the listener call, the
+    ``delivery.pre_ack`` crashpoint, error isolation, the
+    :attr:`delivered` count and the *on_delivered* hook, which fires
+    once per delivery attempt with the payload.
 
     Listener exceptions are swallowed per delivery and recorded on
     :attr:`errors` (a bounded list of ``(topic, listener, exception)``
@@ -145,43 +173,130 @@ class EventBus:
     #: The topic listener delivery failures are announced on (by the bus).
     LISTENER_ERROR_TOPIC = "listener-error"
 
-    #: Topics the bus itself publishes failure reports on (kept for
-    #: introspection/compat; the recursion guard in
-    #: :meth:`_record_failure` only needs :attr:`LISTENER_ERROR_TOPIC`).
-    _ERROR_TOPICS = frozenset({ERROR_TOPIC, LISTENER_ERROR_TOPIC})
-
-    def __init__(self) -> None:
-        self._listeners: Dict[str, List[Callable[[Any], None]]] = {}
+    def __init__(
+        self,
+        *,
+        workers: int = 0,
+        capacity: int = 64,
+        policy: str = "coalesce",
+        tracer=None,
+        on_delivered: Optional[Callable[[Any], None]] = None,
+    ) -> None:
+        if workers < 0:
+            raise ValueError("workers must be non-negative")
+        self._listeners: Dict[str, List[_Entry]] = {}
+        self._lock = threading.RLock()
         self.errors: List[Tuple[str, Callable, Exception]] = []
+        #: Delivery attempts completed, failed ones included.
         self.delivered = 0
+        self._failed = 0
+        self.tracer = tracer
+        self.on_delivered = on_delivered
+        self.pool: Optional[DeliveryPool] = (
+            DeliveryPool(workers=workers, capacity=capacity, policy=policy)
+            if workers
+            else None
+        )
 
-    def subscribe(self, topic: str, listener: Callable[[Any], None]) -> Callable[[], None]:
-        """Register *listener* for *topic*; returns an unsubscribe thunk."""
-        self._listeners.setdefault(topic, []).append(listener)
+    def subscribe(
+        self,
+        topic: str,
+        listener: Callable[[Any], None],
+        *,
+        capacity: Optional[int] = None,
+        policy: Optional[str] = None,
+    ) -> Callable[[], None]:
+        """Register *listener* for *topic*; returns an unsubscribe thunk.
+
+        On a pooled bus *capacity*/*policy* override the bus defaults
+        for this listener's mailbox — a dashboard can coalesce while an
+        audit log blocks.  An inline bus has no mailboxes and ignores
+        them.
+        """
+        mailbox = None
+        if self.pool is not None:
+            mailbox = self.pool.register(
+                functools.partial(self._deliver, topic, listener),
+                capacity=capacity,
+                policy=policy,
+            )
+        entry = (listener, mailbox)
+        with self._lock:
+            self._listeners.setdefault(topic, []).append(entry)
 
         def unsubscribe() -> None:
-            try:
-                self._listeners.get(topic, []).remove(listener)
-            except ValueError:
-                pass
+            with self._lock:
+                group = self._listeners.get(topic, [])
+                for index, candidate in enumerate(group):
+                    if candidate is entry:
+                        del group[index]
+                        break
+                else:
+                    return
+            if mailbox is not None:
+                self.pool.unregister(mailbox)
 
         return unsubscribe
+
+    def _group(self, topic: str) -> Tuple[_Entry, ...]:
+        with self._lock:
+            return tuple(self._listeners.get(topic, ()))
 
     def publish(self, topic: str, payload: Any) -> int:
         """Deliver *payload* to every listener of *topic*.
 
-        Returns the number of successful deliveries.
+        Inline, returns the number of listeners that returned without
+        raising.  Pooled, returns the number of mailboxes that accepted
+        the payload (queued or coalesced into the one waiting).
         """
-        ok = 0
-        for listener in tuple(self._listeners.get(topic, ())):
+        group = self._group(topic)
+        if self.pool is None:
+            ok = 0
+            for listener, _ in group:
+                ok += self._deliver(topic, listener, payload)
+            return ok
+        accepted = 0
+        for _, mailbox in group:
+            if self.pool.post(mailbox, payload) != REJECTED:
+                accepted += 1
+        return accepted
+
+    def _deliver(self, topic: str, listener: Callable, payload: Any) -> bool:
+        """Run one delivery; ``True`` when the listener did not raise.
+
+        Runs on the publishing thread (inline) or on the delivery worker
+        that owns the listener's mailbox (pooled).
+        """
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            with tracer.span(
+                "deliver", listener=getattr(listener, "__name__", "?")
+            ):
+                ok = self._call(topic, listener, payload)
+        else:
+            ok = self._call(topic, listener, payload)
+        hook = self.on_delivered
+        if hook is not None:
             try:
-                listener(payload)
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                self._record_failure(topic, listener, exc)
-            else:
-                ok += 1
-        self.delivered += ok
+                hook(payload)
+            except Exception:  # noqa: BLE001 — never fail a delivery
+                pass
+        with self._lock:
+            self.delivered += 1
         return ok
+
+    def _call(self, topic: str, listener: Callable, payload: Any) -> bool:
+        try:
+            listener(payload)
+            # Crashpoint: the listener ran but the delivery is not yet
+            # acknowledged.  action="exit" models a crash in the ack
+            # window (the durability tests' lost-notification probe);
+            # action="raise" is isolated like any listener error.
+            faults.fire("delivery.pre_ack")
+        except Exception as exc:  # noqa: BLE001 — isolation is the point
+            self._record_failure(topic, listener, exc)
+            return False
+        return True
 
     def _record_failure(
         self, topic: str, listener: Callable, exc: Exception
@@ -193,16 +308,104 @@ class EventBus:
         suppressed — announcing those would re-enter this publish and
         recurse.  A failing listener on any other topic (the refresh
         topics, but also the ``"error"`` refresh-failure channel) is
-        announced with its originating *topic* carried in the payload;
-        the old guard suppressed ``"error"``-topic failures entirely,
-        silently dropping the topic along with the announcement.
+        announced with its originating *topic* carried in the payload.
         """
-        if len(self.errors) < self.MAX_ERRORS:
-            self.errors.append((topic, listener, exc))
+        with self._lock:
+            self._failed += 1
+            if len(self.errors) < self.MAX_ERRORS:
+                self.errors.append((topic, listener, exc))
         if topic != self.LISTENER_ERROR_TOPIC:
             self.publish(self.LISTENER_ERROR_TOPIC, (topic, listener, exc))
 
     def listener_count(self, topic: Optional[str] = None) -> int:
-        if topic is not None:
-            return len(self._listeners.get(topic, ()))
-        return sum(len(group) for group in self._listeners.values())
+        with self._lock:
+            if topic is not None:
+                return len(self._listeners.get(topic, ()))
+            return sum(len(group) for group in self._listeners.values())
+
+    # ------------------------------------------------------------------
+    # Queue introspection and lifecycle (trivial on an inline bus)
+    # ------------------------------------------------------------------
+
+    def backlog(self) -> int:
+        """Undelivered payloads across all listener mailboxes."""
+        return self.pool.backlog() if self.pool is not None else 0
+
+    def oldest_commit_age(
+        self, topic: str, now: Optional[float] = None
+    ) -> Optional[float]:
+        """Age of the oldest commit-stamped payload still queued for
+        *topic*'s listeners, or ``None`` when nothing stamped waits.
+
+        Snapshot-time introspection for the staleness gauges — walks the
+        topic's mailboxes only when asked, so delivery pays nothing.
+        """
+        oldest: Optional[float] = None
+        for _, mailbox in self._group(topic):
+            if mailbox is None:
+                continue
+            age = mailbox.oldest_commit_age(now)
+            if age is not None and (oldest is None or age > oldest):
+                oldest = age
+        return oldest
+
+    def capture_pending(self, topic: str) -> List[Tuple[Any, ...]]:
+        """Undelivered payloads per listener of *topic*, oldest first.
+
+        The checkpoint capture path (non-destructive — items stay queued
+        for delivery): one tuple per subscribed listener, in
+        subscription order; always empty on an inline bus.
+        """
+        return [
+            mailbox.capture() if mailbox is not None else ()
+            for _, mailbox in self._group(topic)
+        ]
+
+    def restore_pending(self, topic: str, items: Tuple[Any, ...]) -> int:
+        """Hand captured payloads to every listener of *topic* again.
+
+        The recovery path.  Pooled, the items append behind anything
+        already queued (bypassing backpressure) and the owning workers
+        wake; inline, they are delivered before this returns.  Returns
+        the number of accepted payload deliveries.
+        """
+        if self.pool is None:
+            return sum(self.publish(topic, item) for item in items)
+        accepted = 0
+        for _, mailbox in self._group(topic):
+            restored = mailbox.restore(items)
+            if restored:
+                accepted += restored
+                mailbox._worker.schedule(mailbox)  # type: ignore[attr-defined]
+        return accepted
+
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Wait for every queued payload to finish delivering; ``False``
+        when *timeout* elapsed first."""
+        return self.pool.drain(timeout=timeout) if self.pool is not None else True
+
+    def close(self, *, drain: bool = True) -> None:
+        """Stop the delivery workers, by default after delivering
+        everything queued."""
+        if self.pool is not None:
+            self.pool.close(drain=drain)
+
+    def stats(self) -> Dict[str, int]:
+        """Delivery counters; an inline bus queues nothing, so its
+        ``queued`` equals ``delivered`` and its backlog is 0."""
+        with self._lock:
+            delivered, failed = self.delivered, self._failed
+        if self.pool is not None:
+            data = self.pool.stats()
+        else:
+            data = {
+                "workers": 0,
+                "queued": delivered,
+                "delivered": delivered,
+                "dropped": 0,
+                "coalesced": 0,
+                "backlog": 0,
+            }
+        data["delivery_errors"] = failed
+        data["topics"] = self.listener_count()
+        return data

@@ -11,6 +11,9 @@ of the live engine.  It owns
 * the :class:`~repro.live.events.EventBus` notifications travel on, and
 * the dirty set that batches modifications between flushes.
 
+There is one of each: one dependency index (guarded by the session
+lock) and one bus class, whatever the serving configuration.
+
 The control flow enforces the paper's property by construction: the only
 path that re-evaluates a plan starts at a base-table change event.  There
 is no timer, no polling loop, and no clock — advancing the reference time
@@ -35,16 +38,18 @@ unless it opted into ``notify_on_no_change``.
 Concurrent serving (:mod:`repro.serve`), all opt-in via constructor
 arguments:
 
-* ``delivery_workers=N`` replaces the synchronous bus with an
-  :class:`~repro.serve.bus.AsyncEventBus`: notifications enqueue to
-  per-subscriber bounded mailboxes (``backpressure`` policy: ``block`` /
-  ``drop_oldest`` / ``coalesce``) and N worker threads deliver them —
-  one slow callback no longer stalls the flush;
-* ``flush_shards=N`` shards dirty fingerprints across N FIFO refresh
-  workers (:class:`~repro.serve.scheduler.FlushScheduler`) and swaps the
-  dependency index for a
-  :class:`~repro.serve.sharding.ShardedDependencyIndex` — independent
-  plans refresh in parallel, each result serially consistent;
+* ``delivery_workers=N`` builds the bus with N delivery workers
+  (``EventBus(workers=N)``): notifications enqueue to per-subscriber
+  bounded mailboxes (``backpressure`` policy: ``block`` /
+  ``drop_oldest`` / ``coalesce``) and the workers deliver them — one
+  slow callback no longer stalls the flush.  With ``0`` the same bus
+  delivers inline on the flushing thread.  Either way every delivery
+  attempt runs the bus's one delivery routine, whose ``on_delivered``
+  hook is where write→deliver freshness is observed;
+* ``flush_shards=N`` routes dirty fingerprints to N FIFO refresh
+  workers (:class:`~repro.serve.scheduler.FlushScheduler`, routing by
+  :func:`~repro.serve.scheduler.shard_index`) — independent plans
+  refresh in parallel, each result serially consistent;
 * :meth:`serve` starts the background auto-flush loop (debounced,
   woken **only** by modification events — still no clock), and
   :meth:`flush_async` schedules one non-blocking flush;
@@ -79,6 +84,7 @@ from repro.obs.explain import explain_renderer
 from repro.obs.registry import FRESHNESS_BUCKETS, Registry, Sample
 from repro.obs.slo import FreshnessSLO
 from repro.obs.trace import TraceRecorder
+from repro.serve.scheduler import FlushScheduler
 
 from repro.live.dependencies import DependencyIndex, referenced_tables
 from repro.live.events import ChangeEvent, EventBus, RefreshNotification
@@ -184,10 +190,11 @@ class SubscriptionManager:
         self.freshness_slo = freshness_slo
         #: Write→deliver latency per subscription: commit stamp of the
         #: oldest coalesced modification to the completed ``on_refresh``
-        #: delivery.  Observed on the delivery worker (async bus) or
-        #: inline after publish (sync bus) — one observation per
-        #: delivered notification, matching
-        #: ``repro_serve_delivered_notifications_total``.
+        #: delivery attempt.  Observed by the bus's ``on_delivered`` hook
+        #: (on the delivery worker, or inline on the flushing thread) —
+        #: one observation per delivered refresh notification, failed
+        #: callbacks included, as ``repro_serve_delivered_notifications_total``
+        #: counts them.
         self._freshness = self.metrics.histogram(
             "repro_freshness_seconds",
             "Write-to-deliver latency per subscription",
@@ -206,36 +213,26 @@ class SubscriptionManager:
             self.tracer = None
         #: Guards all session state below (never held while delivering).
         self._lock = threading.RLock()
-        self._async_bus = delivery_workers > 0
-        if self._async_bus:
-            from repro.serve.bus import AsyncEventBus
-
-            self.bus: EventBus = AsyncEventBus(
-                workers=delivery_workers,
-                capacity=queue_capacity,
-                policy=backpressure,
-                tracer=self.tracer,
-                on_delivered=self._on_delivered,
-            )
-        else:
-            self.bus = EventBus()
+        self.bus = EventBus(
+            workers=delivery_workers,
+            capacity=queue_capacity,
+            policy=backpressure,
+            tracer=self.tracer,
+            on_delivered=self._on_delivered,
+        )
         #: fingerprint → the plan's maintainer (its one materialization),
         #: and fingerprint → the subscriptions attached to it.
         self._maintainers: Dict[str, IncrementalMaintainer] = {}
         self._subscribers: Dict[str, List[Subscription]] = {}
+        #: table → fingerprints; read and written under the session lock.
+        self._dependencies = DependencyIndex()
+        self._scheduler: Optional[FlushScheduler] = None
         if flush_shards > 0:
-            from repro.serve.scheduler import FlushScheduler
-            from repro.serve.sharding import ShardedDependencyIndex
-
-            self._dependencies = ShardedDependencyIndex(flush_shards)
-            self._scheduler: Optional["FlushScheduler"] = FlushScheduler(
+            self._scheduler = FlushScheduler(
                 self._refresh_one,
                 shards=flush_shards,
                 on_error=self._on_shard_failure,
             )
-        else:
-            self._dependencies = DependencyIndex()
-            self._scheduler = None
         self._subscriptions: Dict[int, Subscription] = {}
         #: fingerprint → tables modified since that result's last refresh.
         self._dirty: Dict[str, Set[str]] = {}
@@ -403,15 +400,12 @@ class SubscriptionManager:
             if on_refresh is not None:
                 topic = f"refresh:{subscription.id}"
                 try:
-                    if self._async_bus:
-                        unsubscribe = self.bus.subscribe(
-                            topic,
-                            on_refresh,
-                            capacity=queue_capacity,
-                            policy=backpressure,
-                        )
-                    else:
-                        unsubscribe = self.bus.subscribe(topic, on_refresh)
+                    unsubscribe = self.bus.subscribe(
+                        topic,
+                        on_refresh,
+                        capacity=queue_capacity,
+                        policy=backpressure,
+                    )
                 except Exception:
                     with self._lock:
                         if created and not self._subscribers[fingerprint]:
@@ -470,8 +464,8 @@ class SubscriptionManager:
         invariant instead of a parallel code path.  An entry whose plan
         cannot be rebuilt is logged and skipped, never fatal.  A captured
         undelivered notification is re-enqueued **exactly once**: into
-        the subscriber's mailbox on the asynchronous bus, or delivered
-        inline on the synchronous one.
+        the subscriber's mailbox on a pooled bus, or delivered inline on
+        an inline one.
         """
         self._require_open()
         durability = getattr(self.database, "_durability", None)
@@ -543,12 +537,9 @@ class SubscriptionManager:
                 notification = self._rebuild_notification(
                     subscription, pending
                 )
-                topic = f"refresh:{subscription.id}"
-                restore = getattr(self.bus, "restore_pending", None)
-                if restore is not None:
-                    restore(topic, (notification,))
-                else:
-                    self.bus.publish(topic, notification)
+                self.bus.restore_pending(
+                    f"refresh:{subscription.id}", (notification,)
+                )
                 with self._lock:
                     self._stats["repro_live_notifications_total"] += 1
                 if durability is not None:
@@ -654,19 +645,16 @@ class SubscriptionManager:
             return
         self.stop_serving()
         self.database.remove_delta_listener(self._listener)
-        if self._scheduler is not None or self._async_bus:
-            try:
-                self.flush()  # deliver what is owed before teardown
-            except QueryError:  # pragma: no cover — close() raced close()
-                pass
-            if self._async_bus:
-                self.bus.drain(timeout=10.0)
+        try:
+            self.flush()  # deliver what is owed before teardown
+        except QueryError:  # pragma: no cover — close() raced close()
+            pass
+        self.bus.drain(timeout=10.0)
         for subscription in list(self._subscriptions.values()):
             self.unsubscribe(subscription)
         if self._scheduler is not None:
             self._scheduler.close()
-        if self._async_bus:
-            self.bus.close(drain=True)
+        self.bus.close(drain=True)
         self._unregister_collector()
         if self._unregister_durability is not None:
             self._unregister_durability()
@@ -714,10 +702,10 @@ class SubscriptionManager:
         with self._lock:
             self._stats["repro_live_events_total"] += 1
         self.bus.publish("change", event)
-        affected = self._dependencies.affected(table)
-        if not affected:
-            return
         with self._lock:
+            affected = self._dependencies.affected(table)
+            if not affected:
+                return
             self._events_since_flush += 1
             for fingerprint in affected:
                 self._dirty.setdefault(fingerprint, set()).add(table)
@@ -1021,13 +1009,6 @@ class SubscriptionManager:
             )
             with self._lock:
                 self._stats["repro_live_notifications_total"] += delivered
-            if delivered and commit is not None and not self._async_bus:
-                # The sync bus ran the callbacks inline inside _notify;
-                # the async bus observes per completed delivery instead
-                # (the pool's on_delivered hook).
-                self._observe_freshness(
-                    subscription.name, commit, count=delivered
-                )
         return True
 
     # ------------------------------------------------------------------
@@ -1041,25 +1022,20 @@ class SubscriptionManager:
         return self._freshness
 
     def _on_delivered(self, payload: object) -> None:
-        """Delivery-pool hook: fires once per completed delivery, on the
-        delivery worker.  Only commit-stamped refresh notifications count
-        toward freshness — change events and error records pass through."""
+        """Bus hook: fires once per delivery attempt, on the thread that
+        ran the callback.  Only commit-stamped refresh notifications
+        count toward freshness — change events and error records pass
+        through."""
         if (
             isinstance(payload, RefreshNotification)
             and payload.commit is not None
         ):
-            self._observe_freshness(payload.subscription.name, payload.commit)
-
-    def _observe_freshness(
-        self, subscription: str, commit: CommitStamp, count: int = 1
-    ) -> None:
-        seconds = max(0.0, time.monotonic() - commit.at)
-        child = self._freshness.labels(subscription=subscription)
-        for _ in range(count):
-            child.observe(seconds)
-        slo = self.freshness_slo
-        if slo is not None:
-            for _ in range(count):
+            seconds = max(0.0, time.monotonic() - payload.commit.at)
+            self._freshness.labels(
+                subscription=payload.subscription.name
+            ).observe(seconds)
+            slo = self.freshness_slo
+            if slo is not None:
                 slo.observe(seconds)
 
     def subscription_staleness(self) -> Dict[str, float]:
@@ -1095,10 +1071,9 @@ class SubscriptionManager:
             )
             if stamp is not None:
                 age = max(age, now - stamp.at)
-            if self._async_bus:
-                queued = self.bus.oldest_commit_age(f"refresh:{sub_id}", now)
-                if queued is not None:
-                    age = max(age, queued)
+            queued = self.bus.oldest_commit_age(f"refresh:{sub_id}", now)
+            if queued is not None:
+                age = max(age, queued)
             ages[name] = age
         return ages
 
@@ -1164,10 +1139,7 @@ class SubscriptionManager:
     def _queue_depth(self) -> int:
         """Load signal for the adaptive debounce: undelivered
         notifications plus plans awaiting or inside a refresh."""
-        depth = self.pending
-        if self._async_bus:
-            depth += self.bus.backlog()
-        return depth
+        return self.pending + self.bus.backlog()
 
     def _debounce_scale(self) -> int:
         """The depth at which the adaptive window saturates.
@@ -1460,8 +1432,10 @@ class SubscriptionManager:
         ``delivery_workers``, ``flush_shards``.
 
         Beyond the PR-2 counters, the serving layer adds: queued /
-        dropped / coalesced notification counts and the delivery backlog
-        (zeros on the synchronous bus) plus per-shard flush counts; the
+        delivered / dropped / coalesced notification counts and the
+        delivery backlog, read from the bus in both delivery modes (an
+        inline bus queues nothing: queued equals delivered, dropped,
+        coalesced and backlog stay 0), plus per-shard flush counts; the
         result-store layer adds snapshot copy/reuse and state
         evict/rebuild counters summed over all shared results; the cost
         model adds its deliberate full-refresh count
@@ -1490,24 +1464,12 @@ class SubscriptionManager:
         data["delivery_workers"] = self.delivery_workers
         data["flush_shards"] = self.flush_shards
         data["serving"] = self.serving
-        if self._async_bus:
-            bus_stats = self.bus.stats()
-            data["repro_serve_queued_notifications_total"] = bus_stats["queued"]
-            data["repro_serve_delivered_notifications_total"] = bus_stats[
-                "delivered"
-            ]
-            data["repro_serve_dropped_notifications_total"] = bus_stats["dropped"]
-            data["repro_serve_coalesced_notifications_total"] = bus_stats[
-                "coalesced"
-            ]
-            data["repro_serve_delivery_backlog"] = bus_stats["backlog"]
-        else:
-            notifications = data["repro_live_notifications_total"]
-            data["repro_serve_queued_notifications_total"] = notifications
-            data["repro_serve_delivered_notifications_total"] = notifications
-            data["repro_serve_dropped_notifications_total"] = 0
-            data["repro_serve_coalesced_notifications_total"] = 0
-            data["repro_serve_delivery_backlog"] = 0
+        bus_stats = self.bus.stats()
+        data["repro_serve_queued_notifications_total"] = bus_stats["queued"]
+        data["repro_serve_delivered_notifications_total"] = bus_stats["delivered"]
+        data["repro_serve_dropped_notifications_total"] = bus_stats["dropped"]
+        data["repro_serve_coalesced_notifications_total"] = bus_stats["coalesced"]
+        data["repro_serve_delivery_backlog"] = bus_stats["backlog"]
         data["shard_flushes"] = (
             self._scheduler.flush_counts() if self._scheduler is not None else ()
         )

@@ -11,17 +11,18 @@ machinery, layered on :mod:`repro.live`:
   backpressure policies (coalescing merges the notifications'
   result-level deltas, so skipped deliveries lose no information);
 * :mod:`repro.serve.bus` — the :class:`DeliveryPool` of worker threads
-  and the :class:`AsyncEventBus`, a drop-in
-  :class:`~repro.live.events.EventBus` whose ``publish`` enqueues —
-  one slow subscriber can no longer stall a flush;
-* :mod:`repro.serve.sharding` — :func:`shard_index` (stable CRC-32
-  routing of plan fingerprints) and the :class:`ShardedDependencyIndex`
-  that routes table invalidations to owning shards;
-* :mod:`repro.serve.scheduler` — the :class:`FlushScheduler`: one FIFO
-  worker per shard, so independent shared results refresh in parallel
-  while each result stays serially consistent.
+  that a :class:`~repro.live.events.EventBus` built with ``workers >= 1``
+  delivers through: ``publish`` enqueues, so one slow subscriber can no
+  longer stall a flush;
+* :mod:`repro.serve.scheduler` — :func:`shard_index` (stable CRC-32
+  routing of plan fingerprints) and the :class:`FlushScheduler`: one
+  FIFO worker per shard, so independent shared results refresh in
+  parallel while each result stays serially consistent.
 
-Everything is opt-in through the
+There is one bus class and one dependency index: the session always
+resolves a table change to fingerprints through its one
+:class:`~repro.live.dependencies.DependencyIndex`, and the scheduler
+routes each fingerprint to its shard.  Everything is opt-in through the
 :class:`~repro.live.manager.SubscriptionManager` constructor::
 
     session = LiveSession(
@@ -49,18 +50,15 @@ Concurrency invariants (tested in ``tests/serve/``):
   caused by modifications; nothing refreshes because time passed.
 """
 
-from repro.serve.bus import AsyncEventBus, DeliveryPool
+from repro.serve.bus import DeliveryPool
 from repro.serve.queues import BACKPRESSURE_POLICIES, Mailbox
-from repro.serve.scheduler import FlushRound, FlushScheduler
-from repro.serve.sharding import ShardedDependencyIndex, shard_index
+from repro.serve.scheduler import FlushRound, FlushScheduler, shard_index
 
 __all__ = [
-    "AsyncEventBus",
     "BACKPRESSURE_POLICIES",
     "DeliveryPool",
     "FlushRound",
     "FlushScheduler",
     "Mailbox",
-    "ShardedDependencyIndex",
     "shard_index",
 ]

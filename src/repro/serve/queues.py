@@ -85,7 +85,6 @@ class Mailbox:
         "_coalesce",
         # Set by the DeliveryPool at registration time.
         "_worker",
-        "_on_error",
     )
 
     def __init__(
@@ -120,7 +119,6 @@ class Mailbox:
         self._items: Deque[Any] = deque()
         self._coalesce = coalesce
         self._worker = None
-        self._on_error: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------------
     # Producer side

@@ -5,7 +5,8 @@ with different fingerprints share no operator state, so their refreshes
 cannot conflict — only refreshes of the *same* result must stay ordered.
 The :class:`FlushScheduler` encodes exactly that invariant:
 
-* each fingerprint hashes to one shard (:func:`~repro.serve.sharding.shard_index`);
+* each fingerprint hashes to one shard (:func:`shard_index`: CRC-32,
+  stable across processes and Python hash seeds, unlike ``hash()``);
 * each shard is one FIFO job queue drained by one dedicated worker
   thread — per-result refreshes are **serially consistent** because the
   owning worker never runs two of them concurrently or out of order;
@@ -22,12 +23,25 @@ one place whether the flush is serial or sharded.
 from __future__ import annotations
 
 import threading
+import zlib
 from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, Optional, Tuple
 
-from repro.serve.sharding import shard_index
+__all__ = ["FlushRound", "FlushScheduler", "shard_index"]
 
-__all__ = ["FlushRound", "FlushScheduler"]
+def shard_index(key: object, shards: int) -> int:
+    """The owning shard of *key* — stable across processes and runs.
+
+    Uses CRC-32 of the key's text: plan fingerprints are SHA-256 hex
+    strings, so the low bits are already uniform; CRC-32 keeps arbitrary
+    string keys uniform too while staying deterministic (``hash()`` is
+    salted per process and would re-shard every restart).
+    """
+    if shards <= 1:
+        return 0
+    text = key if isinstance(key, str) else repr(key)
+    return zlib.crc32(text.encode("utf-8")) % shards
+
 
 #: One unit of flush work: (fingerprint, changed tables, coalesced events).
 _Job = Tuple[str, FrozenSet[str], int]
@@ -147,10 +161,6 @@ class FlushScheduler:
             for index in range(shards)
         ]
         self._closed = False
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._workers)
 
     def shard_of(self, fingerprint: str) -> int:
         return shard_index(fingerprint, len(self._workers))

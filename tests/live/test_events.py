@@ -1,5 +1,8 @@
 """Change events and the event bus (fan-out, error isolation)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.interval import until_now
@@ -55,6 +58,74 @@ class TestEventBus:
         assert seen == []
         assert bus.listener_count("a") == 1
         assert bus.listener_count() == 1
+
+
+class TestInlineQueueSurface:
+    """An inline bus answers the queue API of a pooled one trivially."""
+
+    def test_nothing_is_ever_queued(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe("t", seen.append)
+        bus.publish("t", 1)
+        assert bus.drain() is True
+        assert bus.backlog() == 0
+        assert bus.oldest_commit_age("t") is None
+        assert bus.capture_pending("t") == [()]
+        stats = bus.stats()
+        assert stats["workers"] == 0 and stats["backlog"] == 0
+        assert stats["queued"] == stats["delivered"] == 1
+        bus.close()
+
+    def test_restore_delivers_inline(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe("t", seen.append)
+        assert bus.restore_pending("t", ("a", "b")) == 2
+        assert seen == ["a", "b"]
+
+    def test_failed_attempts_count_as_delivered(self):
+        bus = EventBus()
+        hooked = []
+        bus.on_delivered = hooked.append
+
+        def explode(payload):
+            raise RuntimeError("boom")
+
+        bus.subscribe("t", explode)
+        bus.subscribe("t", lambda payload: None)
+        assert bus.publish("t", "payload") == 1
+        assert hooked == ["payload", "payload"]
+        stats = bus.stats()
+        assert stats["delivered"] == 2 and stats["delivery_errors"] == 1
+
+
+    def test_concurrent_publishers_lose_no_count(self):
+        # Shard workers publish on an inline bus from several threads at
+        # once; the delivered count is a read-modify-write.
+        bus = EventBus()
+        bus.subscribe("t", lambda payload: None)
+        bus.subscribe("t", lambda payload: None)
+        threads_n, per_thread = 8, 2000
+        barrier = threading.Barrier(threads_n)
+
+        def hammer():
+            barrier.wait()
+            for i in range(per_thread):
+                bus.publish("t", i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert bus.delivered == threads_n * per_thread * 2
 
 
 class TestErrorTopicGuard:

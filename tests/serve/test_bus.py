@@ -1,16 +1,18 @@
-"""Delivery pool and async bus: fan-out, ordering, isolation, drain."""
+"""Delivery pool and the pooled event bus: fan-out, ordering, isolation,
+drain."""
 
 import threading
 import time
 
 import pytest
 
-from repro.serve.bus import AsyncEventBus, DeliveryPool
+from repro.live.events import EventBus
+from repro.serve.bus import DeliveryPool
 
 
 @pytest.fixture
 def bus():
-    bus = AsyncEventBus(workers=3, capacity=128, policy="block")
+    bus = EventBus(workers=3, capacity=128, policy="block")
     yield bus
     bus.close(drain=False)
 
@@ -52,6 +54,23 @@ class TestDeliveryPool:
         assert seen == []
         pool.close()
 
+    def test_raising_listener_is_counted_and_worker_survives(self):
+        pool = DeliveryPool(workers=1)
+        seen = []
+
+        def explode(item):
+            raise RuntimeError("boom")
+
+        broken = pool.register(explode)
+        healthy = pool.register(seen.append)
+        pool.post(broken, 1)
+        pool.post(healthy, 2)
+        assert pool.drain(timeout=5)
+        assert seen == [2]
+        assert broken.errors == 1
+        assert pool.stats()["delivered"] == 2
+        pool.close()
+
     def test_stats_shape(self):
         pool = DeliveryPool(workers=2)
         box = pool.register(lambda item: None)
@@ -66,6 +85,8 @@ class TestDeliveryPool:
 
 
 class TestAsyncEventBus:
+    """``EventBus(workers >= 1)``: delivery on pool worker threads."""
+
     def test_fan_out_reaches_every_listener(self, bus):
         seen_a, seen_b = [], []
         bus.subscribe("t", seen_a.append)
@@ -101,7 +122,7 @@ class TestAsyncEventBus:
         assert seen == []
 
     def test_slow_listener_does_not_stall_fast_peers(self):
-        bus = AsyncEventBus(workers=2, policy="block", capacity=16)
+        bus = EventBus(workers=2, policy="block", capacity=16)
         fast_done = threading.Event()
         release_slow = threading.Event()
 
@@ -134,7 +155,7 @@ class TestAsyncEventBus:
 
     def test_listener_failures_announced_on_listener_error_topic(self, bus):
         failures = []
-        bus.subscribe(AsyncEventBus.LISTENER_ERROR_TOPIC, failures.append)
+        bus.subscribe(EventBus.LISTENER_ERROR_TOPIC, failures.append)
 
         def explode(_):
             raise RuntimeError("boom")
@@ -149,7 +170,7 @@ class TestAsyncEventBus:
         """A callback that publishes into a full block-policy mailbox
         pinned to its own worker must degrade, not wait for space only
         that worker could ever free."""
-        bus = AsyncEventBus(workers=1, capacity=1, policy="block")
+        bus = EventBus(workers=1, capacity=1, policy="block")
         seen = []
         bus.subscribe("fanin", seen.append)
 
@@ -165,7 +186,7 @@ class TestAsyncEventBus:
         bus.close()
 
     def test_coalesce_policy_keeps_latest_information(self):
-        bus = AsyncEventBus(workers=1, capacity=1, policy="coalesce")
+        bus = EventBus(workers=1, capacity=1, policy="coalesce")
         release = threading.Event()
         seen = []
 

@@ -1,7 +1,11 @@
-"""Shard-worker crash path: an exception escaping the refresh callable
-must be counted, announced, and must never kill the shard thread."""
+"""The flush scheduler: stable shard routing, and the shard-worker crash
+path — an exception escaping the refresh callable must be counted,
+announced, and must never kill the shard thread."""
 
+import hashlib
 import threading
+
+import pytest
 
 from repro.core.interval import until_now
 from repro.engine.database import Database
@@ -9,7 +13,7 @@ from repro.live import LiveSession
 from repro.live.events import EventBus
 from repro.live.manager import SubscriptionManager
 from repro.relational.schema import Schema
-from repro.serve.scheduler import FlushScheduler
+from repro.serve.scheduler import FlushScheduler, shard_index
 
 
 def _database():
@@ -17,6 +21,52 @@ def _database():
     table = db.create_table("R", Schema.of("K", ("VT", "interval")))
     table.insert(1, until_now(10))
     return db
+
+
+class TestShardIndex:
+    def test_deterministic_and_in_range(self):
+        keys = [f"fingerprint-{i:04x}" for i in range(256)]
+        for shards in (1, 2, 4, 7):
+            owners = [shard_index(key, shards) for key in keys]
+            assert owners == [shard_index(key, shards) for key in keys]
+            assert all(0 <= owner < shards for owner in owners)
+
+    def test_single_shard_short_circuits(self):
+        assert shard_index("anything", 1) == 0
+
+    def test_distribution_is_roughly_uniform(self):
+        # SHA-256-hex-like keys spread evenly: no shard may end up with
+        # more than twice its fair share over 4 shards and 400 keys.
+        keys = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(400)]
+        counts = [0, 0, 0, 0]
+        for key in keys:
+            counts[shard_index(key, 4)] += 1
+        assert max(counts) <= 200
+
+    def test_scheduler_needs_a_shard(self):
+        with pytest.raises(ValueError):
+            FlushScheduler(lambda *job: True, shards=0)
+
+    def test_jobs_run_on_their_owning_shard(self):
+        threads = {}
+
+        def refresh(fingerprint, tables, coalesced):
+            threads.setdefault(fingerprint, set()).add(
+                threading.current_thread().name
+            )
+            return True
+
+        scheduler = FlushScheduler(refresh, shards=4, name="route")
+        try:
+            keys = [f"key-{i}" for i in range(32)]
+            for _ in range(3):
+                assert scheduler.flush({key: frozenset({"R"}) for key in keys}) == 32
+            for key in keys:
+                # Every round ran the key on one thread: its owning shard.
+                assert threads[key] == {f"route-{shard_index(key, 4)}"}
+            assert sum(scheduler.flush_counts()) == 3 * len(keys)
+        finally:
+            scheduler.close()
 
 
 class TestSchedulerFailurePath:

@@ -6,11 +6,12 @@ import time
 import pytest
 
 from repro.core.interval import until_now
+from repro.durable import faults
 from repro.engine.database import Database
 from repro.engine.modifications import current_delete, current_insert
 from repro.engine.plan import scan
 from repro.errors import QueryError
-from repro.live import LiveSession
+from repro.live import EventBus, LiveSession
 from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
 
@@ -472,3 +473,96 @@ class TestServeLoop:
             db.query(_plans()["filter"]).tuples
         )
         session.close()
+
+
+class TestDeliveryModesAgree:
+    """Inline (``delivery_workers=0``) and pooled delivery run one
+    delivery routine, so failures, spans and counters agree."""
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_failing_callback_counts_the_same(self, workers):
+        db = _database()
+        session = LiveSession(db, delivery_workers=workers, backpressure="block")
+        try:
+            announced = []
+            session.bus.subscribe(EventBus.LISTENER_ERROR_TOPIC, announced.append)
+
+            def explode(event):
+                raise RuntimeError("subscriber broke")
+
+            peer = []
+            broken = session.subscribe(
+                _plans()["filter"], on_refresh=explode, name="broken"
+            )
+            session.subscribe(_plans()["filter"], on_refresh=peer.append, name="peer")
+            rounds = 3
+            for i in range(rounds):
+                current_insert(db.table("R"), (1,), at=20 + i)
+                session.flush()
+            assert session.bus.drain(timeout=10)
+            assert len(peer) == rounds  # the peer is still delivered
+            assert [topic for topic, _, _ in session.bus.errors] == [
+                f"refresh:{broken.id}"
+            ] * rounds
+            assert [listener for _, listener, _ in announced] == [explode] * rounds
+            freshness = sum(
+                session.freshness_histogram.labels(name).snapshot()["count"]
+                for name in ("broken", "peer")
+            )
+            # One observation per delivery attempt, the failed ones too.
+            assert freshness == 2 * rounds
+            # The delivered count covers every payload a callback was
+            # handed: the refresh notifications plus the announcements
+            # the listener-error watcher received.
+            stats = session.stats()
+            assert stats["repro_serve_delivered_notifications_total"] == (
+                freshness + len(announced)
+            )
+            assert session.bus.stats()["delivery_errors"] == rounds
+        finally:
+            session.close()
+
+    def test_inline_delivery_is_traced(self):
+        db = _database()
+        session = LiveSession(db, trace=True)
+        try:
+            session.subscribe(_plans()["filter"], on_refresh=lambda event: None)
+            session.subscribe(_plans()["union"], on_refresh=lambda event: None)
+            current_insert(db.table("R"), (1,), at=20)
+            session.flush()
+            spans = [
+                event
+                for event in session.tracer.events()
+                if event["name"] == "deliver"
+            ]
+            assert len(spans) == 2  # one per callback
+            main = threading.get_ident()
+            assert all(span["thread_id"] == main for span in spans)
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_pre_ack_crashpoint_is_isolated(self, workers):
+        db = _database()
+        session = LiveSession(db, delivery_workers=workers)
+        try:
+            received = []
+            sub = session.subscribe(
+                _plans()["filter"], on_refresh=received.append, name="acked"
+            )
+            with faults.armed("delivery.pre_ack", action="raise"):
+                current_insert(db.table("R"), (1,), at=20)
+                session.flush()
+                assert session.bus.drain(timeout=10)
+            assert len(received) == 1  # the listener ran before the ack
+            ((topic, listener, error),) = session.bus.errors
+            assert topic == f"refresh:{sub.id}"
+            assert isinstance(error, faults.InjectedCrash)
+            current_insert(db.table("R"), (1,), at=21)
+            session.flush()
+            assert session.bus.drain(timeout=10)
+            assert len(received) == 2  # later deliveries are unaffected
+            assert session.bus.stats()["delivery_errors"] == 1
+            assert session.stats()["repro_serve_delivered_notifications_total"] == 2
+        finally:
+            session.close()
